@@ -16,18 +16,14 @@ import sys
 from .inference import infer
 from .lifecycle import (
     DependencyGuard,
-    ExtendChange,
     JournalEntry,
     JournalMismatch,
     LifecycleError,
-    RemoveChange,
     RootRemoval,
-    UpdateChange,
+    TypeChanged,
     WouldViolateSpec,
-    extend,
-    remove,
+    apply,
     undo,
-    update,
 )
 from .model import InvalidSpec, NotAConfiguration, root_of
 from .textfmt import (
@@ -46,7 +42,7 @@ from .textfmt import (
 )
 from .typecheck import compatible, compliant
 
-_GUARDS = (WouldViolateSpec, DependencyGuard, JournalMismatch, RootRemoval)
+_GUARDS = (WouldViolateSpec, DependencyGuard, JournalMismatch, RootRemoval, TypeChanged)
 
 
 def _read(path: str) -> str:
@@ -167,15 +163,7 @@ def cmd_apply(args: argparse.Namespace, fmt: str) -> int:
     change = parse_changeset(_read(args.changeset), args.changeset)
     journal_path = _journal_path(args)
     seq = len(parse_journal(_read(journal_path), journal_path)) if os.path.exists(journal_path) else 0
-
-    if isinstance(change, ExtendChange):
-        result, entry = extend(config, change, spec, seq=seq)
-    elif isinstance(change, UpdateChange):
-        result, entry = update(config, change, spec, seq=seq)
-    else:
-        assert isinstance(change, RemoveChange)
-        result, entry = remove(config, change.ids, spec, seq=seq)
-
+    result, entry = apply(config, change, spec, seq=seq)
     text = print_config(result)
     payload = {
         "command": "apply",

@@ -1,4 +1,5 @@
-"""Guarded configuration changes: extend, update, remove, undo.
+"""Guarded configuration changes: extend, update, remove, undo, and `apply`
+for a change of any kind.
 
 Every operation is pure: it takes a configuration, returns the changed one
 plus a journal entry whose inverse restores the input exactly.  A change is
@@ -15,6 +16,7 @@ from .algebra import ComponentId
 from .model import (
     Component,
     Configuration,
+    NotAConfiguration,
     SpecSet,
     validate_configuration,
 )
@@ -143,195 +145,55 @@ class JournalEntry:
 
 
 def _gate(result: Configuration, spec: SpecSet, *, faithful_leaf_rule: bool, strict_lower_bounds: bool) -> None:
-    report = validate_configuration(result)
-    if not report.ok:
-        first = report.errors[0]
-        raise WouldViolateSpec(f"change breaks the configuration: {first.message}")
-    verdict = compliant(
-        result, spec,
-        faithful_leaf_rule=faithful_leaf_rule,
-        strict_lower_bounds=strict_lower_bounds)
+    try:
+        verdict = compliant(
+            result, spec,
+            faithful_leaf_rule=faithful_leaf_rule,
+            strict_lower_bounds=strict_lower_bounds)
+    except NotAConfiguration as exc:
+        first = exc.report.errors[0]
+        raise WouldViolateSpec(f"change breaks the configuration: {first.message}") from exc
     if not verdict.compliant:
         first = verdict.failures[0]
         raise WouldViolateSpec(f"result would not comply: {first.detail}", verdict)
 
 
-def _subtree_ids(config: Configuration, top: ComponentId) -> set[ComponentId]:
-    by_id = config.by_id()
-    out: set[ComponentId] = set()
-    stack = [top]
-    while stack:
-        current = stack.pop()
-        if current in out or current not in by_id:
-            continue
-        out.add(current)
-        stack.extend(by_id[current].child_ids)
-    return out
-
-
-def extend(
-    config: Configuration,
-    change: ExtendChange,
-    spec: SpecSet,
-    *,
-    faithful_leaf_rule: bool = False,
-    strict_lower_bounds: bool = False,
-    seq: int = 0,
-) -> tuple[Configuration, JournalEntry]:
-    existing = {c.id for c in config}
-    by_id = config.by_id()
-    for component in change.components:
-        if component.id in existing:
-            raise DuplicateComponentId(f"{component.id} is already in the configuration")
-    new_ids = {c.id for c in change.components}
-    attach_to: dict[ComponentId, ComponentId] = {}
-    for new_root, parent in change.attachments:
-        if parent not in existing:
-            raise UnknownParent(f"attachment parent {parent} is not in the configuration")
-        if by_id[parent].is_leaf:
-            raise UnknownParent(f"attachment parent {parent} is a leaf component")
-        if new_root not in new_ids:
-            raise UnknownComponent(f"attachment root {new_root} is not in the extend payload")
-        attach_to[new_root] = parent
-
-    rewritten = []
-    for c in config:
-        grafts = frozenset(i for i, p in attach_to.items() if p == c.id)
-        if grafts:
-            rewritten.append(Component.composite(c.id, c.child_ids | grafts, c.dependencies))
-        else:
-            rewritten.append(c)
-    result = Configuration(tuple(rewritten) + change.components)
-    _gate(result, spec, faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
-    inverse = RemoveChange(tuple(attach_to.keys()))
-    return result, JournalEntry(change=change, inverse=inverse, seq=seq)
-
-
-def update(
-    config: Configuration,
-    change: UpdateChange,
-    spec: SpecSet,
-    *,
-    faithful_leaf_rule: bool = False,
-    strict_lower_bounds: bool = False,
-    seq: int = 0,
-) -> tuple[Configuration, JournalEntry]:
-    by_id = config.by_id()
-    id_map: dict[ComponentId, ComponentId] = {}
-    originals: dict[ComponentId, Component] = {}
-    for old, new in change.replacements:
-        if old not in by_id:
-            raise UnknownComponent(f"{old} is not in the configuration")
-        if old.ctype != new.id.ctype:
-            raise TypeChanged(f"{old} cannot become ctype {new.id.ctype}")
-        id_map[old] = new.id
-        originals[old] = by_id[old]
-    olds = set(id_map)
-    for old, new in change.replacements:
-        if new.id in by_id and new.id not in olds:
-            raise DuplicateComponentId(f"{new.id} is already in the configuration")
-
-    def remap(component: Component) -> Component:
-        deps = frozenset(id_map.get(d, d) for d in component.dependencies)
-        if component.is_leaf:
-            return Component.leaf(component.id, component.elements or (), deps)
-        children = frozenset(id_map.get(i, i) for i in component.child_ids)
-        return Component.composite(component.id, children, deps)
-
-    pieces = []
-    replacement_of = {old: new for old, new in change.replacements}
-    for c in config:
-        pieces.append(remap(replacement_of.get(c.id, c)))
-    result = Configuration(pieces)
-    _gate(result, spec, faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
-    inverse = UpdateChange(tuple((new.id, originals[old]) for old, new in change.replacements))
-    return result, JournalEntry(change=change, inverse=inverse, seq=seq)
-
-
-def remove(
-    config: Configuration,
-    ids: Iterable[ComponentId],
-    spec: SpecSet,
-    *,
-    faithful_leaf_rule: bool = False,
-    strict_lower_bounds: bool = False,
-    seq: int = 0,
-) -> tuple[Configuration, JournalEntry]:
-    requested = _sorted_ids(ids)
-    by_id = config.by_id()
-    referenced = {child for c in config for child in c.child_ids}
-    for i in requested:
-        if i not in by_id:
-            raise UnknownComponent(f"{i} is not in the configuration")
-        if i not in referenced:
-            raise RootRemoval(f"{i} is the configuration root")
-
-    removed: set[ComponentId] = set()
-    for i in requested:
-        removed |= _subtree_ids(config, i)
-    top_level = [i for i in requested
-                 if not any(i in _subtree_ids(config, other) for other in requested if other != i)]
-
-    dependents = _sorted_ids(
-        c.id for c in config
-        if c.id not in removed and any(d in removed for d in c.dependencies))
-    if dependents:
-        names = ", ".join(str(i) for i in dependents)
-        raise DependencyGuard(f"still depended on by {names}", dependents)
-
-    parent_of: dict[ComponentId, ComponentId] = {}
-    for c in config:
-        for child in c.child_ids:
-            parent_of[child] = c.id
-
-    pieces = []
-    for c in config:
-        if c.id in removed:
-            continue
-        drop = c.child_ids & removed
-        if drop:
-            pieces.append(Component.composite(c.id, c.child_ids - drop, c.dependencies))
-        else:
-            pieces.append(c)
-    result = Configuration(pieces)
-    _gate(result, spec, faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
-
-    inverse = ExtendChange(
-        components=tuple(by_id[i] for i in sorted(removed, key=lambda i: i.sort_key)),
-        attachments=tuple((i, parent_of[i]) for i in top_level),
-    )
-    return result, JournalEntry(change=RemoveChange(requested), inverse=inverse, seq=seq)
-
-
 def _apply_raw(config: Configuration, change: ChangeSet) -> Configuration:
-    """Apply a change structurally, without the spec gate.  Used by undo."""
+    """Apply a change structurally, without the spec gate.  Raises when the
+    change does not fit the configuration: a duplicate or unknown id, a
+    missing or leaf parent, or a changed ctype."""
+    by_id = config.by_id()
     if isinstance(change, ExtendChange):
-        existing = {c.id for c in config}
-        by_id = config.by_id()
-        attach_to = dict(change.attachments)
         for component in change.components:
-            if component.id in existing:
-                raise DuplicateComponentId(f"{component.id} is already present")
+            if component.id in by_id:
+                raise DuplicateComponentId(f"{component.id} is already in the configuration")
+        new_ids = {c.id for c in change.components}
+        grafts: dict[ComponentId, set[ComponentId]] = {}
         for new_root, parent in change.attachments:
-            if parent not in existing or by_id[parent].is_leaf:
-                raise UnknownParent(f"no composite {parent} to attach to")
-        rewritten = []
-        for c in config:
-            grafts = frozenset(i for i, p in attach_to.items() if p == c.id)
-            if grafts:
-                rewritten.append(Component.composite(c.id, c.child_ids | grafts, c.dependencies))
-            else:
-                rewritten.append(c)
-        return Configuration(tuple(rewritten) + change.components)
+            if parent not in by_id:
+                raise UnknownParent(f"attachment parent {parent} is not in the configuration")
+            if by_id[parent].is_leaf:
+                raise UnknownParent(f"attachment parent {parent} is a leaf component")
+            if new_root not in new_ids:
+                raise UnknownComponent(f"attachment root {new_root} is not in the extend payload")
+            grafts.setdefault(parent, set()).add(new_root)
+        rewritten = tuple(
+            Component.composite(c.id, c.child_ids | grafts[c.id], c.dependencies) if c.id in grafts else c
+            for c in config)
+        return Configuration(rewritten + change.components)
 
     if isinstance(change, UpdateChange):
-        by_id = config.by_id()
-        id_map = {}
+        id_map: dict[ComponentId, ComponentId] = {}
         for old, new in change.replacements:
             if old not in by_id:
                 raise UnknownComponent(f"{old} is not in the configuration")
+            if old.ctype != new.id.ctype:
+                raise TypeChanged(f"{old} cannot become ctype {new.id.ctype}")
             id_map[old] = new.id
-        replacement_of = {old: new for old, new in change.replacements}
+        for _, new in change.replacements:
+            if new.id in by_id and new.id not in id_map:
+                raise DuplicateComponentId(f"{new.id} is already in the configuration")
+        replacement_of = dict(change.replacements)
         pieces = []
         for c in config:
             target = replacement_of.get(c.id, c)
@@ -344,23 +206,103 @@ def _apply_raw(config: Configuration, change: ChangeSet) -> Configuration:
         return Configuration(pieces)
 
     assert isinstance(change, RemoveChange)
-    by_id = config.by_id()
     for i in change.ids:
         if i not in by_id:
             raise UnknownComponent(f"{i} is not in the configuration")
     removed: set[ComponentId] = set()
-    for i in change.ids:
-        removed |= _subtree_ids(config, i)
+    stack = list(change.ids)
+    while stack:
+        current = stack.pop()
+        if current not in removed and current in by_id:
+            removed.add(current)
+            stack.extend(by_id[current].child_ids)
     pieces = []
     for c in config:
         if c.id in removed:
             continue
         drop = c.child_ids & removed
-        if drop:
-            pieces.append(Component.composite(c.id, c.child_ids - drop, c.dependencies))
-        else:
-            pieces.append(c)
+        pieces.append(Component.composite(c.id, c.child_ids - drop, c.dependencies) if drop else c)
     return Configuration(pieces)
+
+
+def extend(
+    config: Configuration,
+    change: ExtendChange,
+    spec: SpecSet,
+    *,
+    faithful_leaf_rule: bool = False,
+    strict_lower_bounds: bool = False,
+    seq: int = 0,
+) -> tuple[Configuration, JournalEntry]:
+    result = _apply_raw(config, change)
+    _gate(result, spec, faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
+    inverse = RemoveChange(tuple(new_root for new_root, _ in change.attachments))
+    return result, JournalEntry(change=change, inverse=inverse, seq=seq)
+
+
+def update(
+    config: Configuration,
+    change: UpdateChange,
+    spec: SpecSet,
+    *,
+    faithful_leaf_rule: bool = False,
+    strict_lower_bounds: bool = False,
+    seq: int = 0,
+) -> tuple[Configuration, JournalEntry]:
+    result = _apply_raw(config, change)
+    _gate(result, spec, faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
+    by_id = config.by_id()
+    inverse = UpdateChange(tuple((new.id, by_id[old]) for old, new in change.replacements))
+    return result, JournalEntry(change=change, inverse=inverse, seq=seq)
+
+
+def remove(
+    config: Configuration,
+    ids: Iterable[ComponentId],
+    spec: SpecSet,
+    *,
+    faithful_leaf_rule: bool = False,
+    strict_lower_bounds: bool = False,
+    seq: int = 0,
+) -> tuple[Configuration, JournalEntry]:
+    change = RemoveChange(tuple(ids))
+    result = _apply_raw(config, change)
+    parent_of = {child: c.id for c in config for child in c.child_ids}
+    for i in change.ids:
+        if i not in parent_of:
+            raise RootRemoval(f"{i} is the configuration root")
+
+    kept = {c.id for c in result}
+    removed = [c for c in config if c.id not in kept]
+    removed_ids = {c.id for c in removed}
+    dependents = _sorted_ids(
+        c.id for c in result if any(d in removed_ids for d in c.dependencies))
+    if dependents:
+        names = ", ".join(str(i) for i in dependents)
+        raise DependencyGuard(f"still depended on by {names}", dependents)
+    _gate(result, spec, faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
+
+    # a requested id is top-level unless another requested subtree holds it
+    inverse = ExtendChange(
+        components=tuple(removed),
+        attachments=tuple((i, parent_of[i]) for i in change.ids if parent_of[i] not in removed_ids),
+    )
+    return result, JournalEntry(change=change, inverse=inverse, seq=seq)
+
+
+def apply(
+    config: Configuration,
+    change: ChangeSet,
+    spec: SpecSet,
+    *,
+    seq: int = 0,
+) -> tuple[Configuration, JournalEntry]:
+    """Run the guarded operation for the change's kind."""
+    if isinstance(change, ExtendChange):
+        return extend(config, change, spec, seq=seq)
+    if isinstance(change, UpdateChange):
+        return update(config, change, spec, seq=seq)
+    return remove(config, change.ids, spec, seq=seq)
 
 
 def undo(config: Configuration, entry: JournalEntry) -> Configuration:

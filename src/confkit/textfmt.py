@@ -228,24 +228,41 @@ class _Parser:
     # shared value productions ---------------------------------------------
 
     def parse_nat(self, what: str = "a natural number") -> int:
-        return int(self.expect("NAT", what).value)
+        tok = self.expect("NAT", what)
+        try:
+            return int(tok.value)
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError(self.span(tok), what, f"a {len(tok.value)}-digit number") from None
+
+    def parse_list(self, kind: str, what: str) -> list[str]:
+        """`[` items separated by `,` `]`; may be empty, may end with `,`."""
+        self.expect("[")
+        items: list[str] = []
+        while self.peek().kind != "]":
+            items.append(self.expect(kind, what).value)
+            if self.peek().kind != ",":
+                break
+            self.advance()
+        self.expect("]")
+        return items
+
+    def parse_upper(self, start: _Token, lo: int) -> float | int:
+        """The `hi` or `*` of `lo..(hi|*)`, once `lo..` is read."""
+        if self.peek().kind == "*":
+            self.advance()
+            return INF
+        hi = self.parse_nat("an upper bound or '*'")
+        if lo > hi:
+            raise ParseError(
+                self.span(start), "interval lower bound ≤ upper bound",
+                f"'{lo}..{hi}'")
+        return hi
 
     def parse_interval(self) -> Interval:
         start = self.peek()
         lo = self.parse_nat("an interval")
         self.expect("..", "'..'")
-        tok = self.peek()
-        hi: float | int
-        if tok.kind == "*":
-            self.advance()
-            hi = INF
-        else:
-            hi = self.parse_nat("an upper bound or '*'")
-        if hi is not INF and lo > hi:
-            raise ParseError(
-                self.span(start), "interval lower bound ≤ upper bound",
-                f"'{lo}..{hi}'")
-        return Interval(lo, hi)
+        return Interval(lo, self.parse_upper(start, lo))
 
     def parse_nameset(self) -> NameSet:
         if self.at_keyword("any"):
@@ -287,18 +304,7 @@ class _Parser:
         first = self.parse_nat("a version, an interval, or 'any'")
         if self.peek().kind == "..":
             self.advance()
-            tok = self.peek()
-            hi: float | int
-            if tok.kind == "*":
-                self.advance()
-                hi = INF
-            else:
-                hi = self.parse_nat("an upper bound or '*'")
-            if hi is not INF and first > hi:
-                raise ParseError(
-                    self.span(start), "interval lower bound ≤ upper bound",
-                    f"'{first}..{hi}'")
-            return VersionSet.between(first, hi)
+            return VersionSet.between(first, self.parse_upper(start, first))
         values = {first}
         while self.peek().kind == "|":
             self.advance()
@@ -536,37 +542,17 @@ def _parse_component(p: _Parser) -> _RawComp:
     files: list[str] | None = None
     if p.at_keyword("contains"):
         p.advance()
-        p.expect("[")
-        children = []
-        while p.peek().kind != "]":
-            children.append(p.expect("IDENT", "a component handle").value)
-            if p.peek().kind != ",":
-                break
-            p.advance()
-        p.expect("]")
+        children = p.parse_list("IDENT", "a component handle")
     elif p.at_keyword("files"):
         p.advance()
-        p.expect("[")
-        files = []
-        while p.peek().kind != "]":
-            files.append(p.expect("STRING", "a file name").value)
-            if p.peek().kind != ",":
-                break
-            p.advance()
-        p.expect("]")
+        files = p.parse_list("STRING", "a file name")
     else:
         raise p.fail("'contains' or 'files'")
 
     depends: list[str] = []
     if p.at_keyword("depends"):
         p.advance()
-        p.expect("[")
-        while p.peek().kind != "]":
-            depends.append(p.expect("IDENT", "a component handle").value)
-            if p.peek().kind != ",":
-                break
-            p.advance()
-        p.expect("]")
+        depends = p.parse_list("IDENT", "a component handle")
     p.expect(";")
     return _RawComp(handle, ctype, name_tok.value, origin_tok.value, version,
                     children, files, depends)
@@ -866,19 +852,12 @@ def component_id_to_obj(ci: ComponentId) -> list:
     return [ci.ctype, ci.name, ci.origin, ci.version]
 
 
-def _schema(message: str) -> ValueError:
-    return ValueError(message)
-
-
 def component_id_from_obj(obj: object) -> ComponentId:
     if (not isinstance(obj, list) or len(obj) != 4
             or not all(isinstance(x, str) for x in obj[:3])
             or not isinstance(obj[3], int) or isinstance(obj[3], bool)):
-        raise _schema(f"a component id must be [type, name, origin, version]: {obj!r}")
-    try:
-        return ComponentId(obj[0], obj[1], obj[2], obj[3])
-    except ValueError as exc:
-        raise _schema(str(exc)) from exc
+        raise ValueError(f"a component id must be [type, name, origin, version]: {obj!r}")
+    return ComponentId(obj[0], obj[1], obj[2], obj[3])
 
 
 def component_to_obj(c: Component) -> dict:
@@ -897,30 +876,27 @@ def component_to_obj(c: Component) -> dict:
 
 def component_from_obj(obj: object) -> Component:
     if not isinstance(obj, dict) or "id" not in obj:
-        raise _schema(f"a component must be an object with an 'id': {obj!r}")
+        raise ValueError(f"a component must be an object with an 'id': {obj!r}")
     known = {"id", "files", "children", "depends"}
     extra = set(obj) - known
     if extra:
-        raise _schema(f"unknown component fields: {sorted(extra)}")
+        raise ValueError(f"unknown component fields: {sorted(extra)}")
     ci = component_id_from_obj(obj["id"])
     if ("files" in obj) == ("children" in obj):
-        raise _schema(f"component {ci} needs exactly one of 'files'/'children'")
+        raise ValueError(f"component {ci} needs exactly one of 'files'/'children'")
     deps = frozenset(component_id_from_obj(d) for d in _as_list(obj.get("depends", []), "depends"))
-    try:
-        if "files" in obj:
-            files = _as_list(obj["files"], "files")
-            if not all(isinstance(f, str) for f in files):
-                raise _schema(f"component {ci} files must be strings")
-            return Component.leaf(ci, files, deps)
-        children = frozenset(component_id_from_obj(c) for c in _as_list(obj["children"], "children"))
-        return Component.composite(ci, children, deps)
-    except ValueError as exc:
-        raise _schema(str(exc)) from exc
+    if "files" in obj:
+        files = _as_list(obj["files"], "files")
+        if not all(isinstance(f, str) for f in files):
+            raise ValueError(f"component {ci} files must be strings")
+        return Component.leaf(ci, files, deps)
+    children = frozenset(component_id_from_obj(c) for c in _as_list(obj["children"], "children"))
+    return Component.composite(ci, children, deps)
 
 
 def _as_list(obj: object, what: str) -> list:
     if not isinstance(obj, list):
-        raise _schema(f"'{what}' must be a list: {obj!r}")
+        raise ValueError(f"'{what}' must be a list: {obj!r}")
     return obj
 
 
@@ -944,47 +920,53 @@ def changeset_to_obj(change: ChangeSet) -> dict:
 
 def changeset_from_obj(obj: object) -> ChangeSet:
     if not isinstance(obj, dict) or "op" not in obj:
-        raise _schema(f"a changeset must be an object with an 'op': {obj!r}")
+        raise ValueError(f"a changeset must be an object with an 'op': {obj!r}")
     op = obj["op"]
+    if op == "extend":
+        components = tuple(component_from_obj(c)
+                           for c in _as_list(obj.get("components", []), "components"))
+        attachments = []
+        for pair in _as_list(obj.get("attachments", []), "attachments"):
+            pair = _as_list(pair, "attachment")
+            if len(pair) != 2:
+                raise ValueError(f"an attachment must be [child, parent]: {pair!r}")
+            attachments.append((component_id_from_obj(pair[0]),
+                                component_id_from_obj(pair[1])))
+        return ExtendChange(components, tuple(attachments))
+    if op == "update":
+        replacements = []
+        for pair in _as_list(obj.get("replacements", []), "replacements"):
+            pair = _as_list(pair, "replacement")
+            if len(pair) != 2:
+                raise ValueError(f"a replacement must be [old id, component]: {pair!r}")
+            replacements.append((component_id_from_obj(pair[0]),
+                                 component_from_obj(pair[1])))
+        return UpdateChange(tuple(replacements))
+    if op == "remove":
+        ids = tuple(component_id_from_obj(i) for i in _as_list(obj.get("ids", []), "ids"))
+        return RemoveChange(ids)
+    raise ValueError(f"unknown op {op!r}")
+
+
+def _load_json(text: str, filename: str, lineno: int = 1) -> object:
+    """`json.loads` with every failure raised as a ParseError; `lineno` is
+    the line of the file on which `text` starts."""
     try:
-        if op == "extend":
-            components = tuple(component_from_obj(c)
-                               for c in _as_list(obj.get("components", []), "components"))
-            attachments = []
-            for pair in _as_list(obj.get("attachments", []), "attachments"):
-                pair = _as_list(pair, "attachment")
-                if len(pair) != 2:
-                    raise _schema(f"an attachment must be [child, parent]: {pair!r}")
-                attachments.append((component_id_from_obj(pair[0]),
-                                    component_id_from_obj(pair[1])))
-            return ExtendChange(components, tuple(attachments))
-        if op == "update":
-            replacements = []
-            for pair in _as_list(obj.get("replacements", []), "replacements"):
-                pair = _as_list(pair, "replacement")
-                if len(pair) != 2:
-                    raise _schema(f"a replacement must be [old id, component]: {pair!r}")
-                replacements.append((component_id_from_obj(pair[0]),
-                                     component_from_obj(pair[1])))
-            return UpdateChange(tuple(replacements))
-        if op == "remove":
-            ids = tuple(component_id_from_obj(i) for i in _as_list(obj.get("ids", []), "ids"))
-            return RemoveChange(ids)
-    except ValueError as exc:
-        raise _schema(str(exc)) from exc
-    raise _schema(f"unknown op {op!r}")
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(SourceSpan(filename, lineno + exc.lineno - 1, exc.colno),
+                         "valid JSON", exc.msg) from exc
+    except RecursionError as exc:
+        raise ParseError(SourceSpan(filename, lineno, 1),
+                         "valid JSON", "nesting too deep") from exc
+    except ValueError as exc:  # an integer with more digits than the interpreter converts
+        raise ParseError(SourceSpan(filename, lineno, 1),
+                         "valid JSON", "an integer with too many digits") from exc
 
 
 def parse_changeset(text: str, filename: str = "<changeset>") -> ChangeSet:
     """Read one JSON changeset; malformed input raises ParseError."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(SourceSpan(filename, exc.lineno, exc.colno),
-                         "valid JSON", exc.msg) from exc
-    except RecursionError as exc:
-        raise ParseError(SourceSpan(filename, 1, 1),
-                         "valid JSON", "nesting too deep") from exc
+    obj = _load_json(text, filename)
     try:
         return changeset_from_obj(obj)
     except ValueError as exc:
@@ -1013,11 +995,7 @@ def parse_journal(text: str, filename: str = "<journal>") -> list[JournalEntry]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(SourceSpan(filename, lineno, exc.colno),
-                             "valid JSON", exc.msg) from exc
+        obj = _load_json(line, filename, lineno)
         if not isinstance(obj, dict) or not {"seq", "change", "inverse"} <= set(obj):
             raise ParseError(SourceSpan(filename, lineno, 1),
                              "an entry with seq/change/inverse", repr(obj)[:60])

@@ -280,6 +280,13 @@ def direct_check(
     return ComplianceVerdict.from_failures(failures)
 
 
+def _counterpart(a: ComponentId, b: ComponentId, *, composite_a: bool, relaxed: bool) -> bool:
+    """b is the same component as a, whatever its version: same ctype and
+    origin, and the same name unless a is a composite under relaxed matching."""
+    return (a.ctype == b.ctype and a.origin == b.origin
+            and (a.name == b.name or (relaxed and composite_a)))
+
+
 def ci_compat_leq(
     a: ComponentId,
     b: ComponentId,
@@ -292,11 +299,7 @@ def ci_compat_leq(
     Composites are allowed to change name across releases unless relaxed
     matching is turned off.
     """
-    if a.ctype != b.ctype or a.origin != b.origin or a.version > b.version:
-        return False
-    if a.name != b.name and not (relaxed and composite_a):
-        return False
-    return True
+    return _counterpart(a, b, composite_a=composite_a, relaxed=relaxed) and a.version <= b.version
 
 
 def config_leq(a: Configuration, b: Configuration, *, relaxed: bool = True) -> bool:
@@ -337,19 +340,10 @@ def compatible(
         return CompatVerdict(False, tuple(reasons))
 
     for ca in sorted(a, key=lambda c: c.sort_key):
-        composite_a = not ca.is_leaf
-        candidates = [
-            cb for cb in b
-            if ci_compat_leq(
-                ca.id,
-                ComponentId(cb.id.ctype, cb.id.name, cb.id.origin, max(cb.id.version, ca.id.version)),
-                composite_a=composite_a, relaxed=relaxed)
-        ]
-        if not candidates:
+        versions = [cb.id.version for cb in b
+                    if _counterpart(ca.id, cb.id, composite_a=not ca.is_leaf, relaxed=relaxed)]
+        if not versions:
             reasons.append(CompatReason(str(ca.id), "no-counterpart"))
-        elif not any(
-            ci_compat_leq(ca.id, cb.id, composite_a=composite_a, relaxed=relaxed)
-            for cb in candidates
-        ):
+        elif max(versions) < ca.id.version:
             reasons.append(CompatReason(str(ca.id), "version-regression"))
     return CompatVerdict(not reasons, tuple(reasons))

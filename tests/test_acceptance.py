@@ -10,6 +10,7 @@ code they check.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import time
 
@@ -50,7 +51,9 @@ from confkit.textfmt import (
     ConfigInvalid,
     ParseError,
     SpecInvalid,
+    parse_changeset,
     parse_config,
+    parse_journal,
     parse_spec,
     print_config,
     print_spec,
@@ -799,6 +802,13 @@ def _mutate(rnd: random.Random, text: str) -> str:
     return text[:i] + text[i:j] * 2 + text[j:]
 
 
+def _overlong(rnd: random.Random, text: str) -> str:
+    """Replace one digit of the text with an integer longer than the
+    interpreter's 4,300-digit str -> int conversion limit."""
+    k = rnd.choice([k for k, ch in enumerate(text) if ch.isdigit()])
+    return text[:k] + rnd.choice("123456789") * rnd.randint(4301, 6000) + text[k + 1:]
+
+
 def test_9_format_round_trip_and_fuzz():
     g = Gen(90_2026)
     errors: list[str] = []
@@ -851,10 +861,34 @@ def test_9_format_round_trip_and_fuzz():
             errors.append(f"parser crash: {type(exc).__name__}: {exc} "
                           f"on input {s[:80]!r}")
             break
+
+    # Integers past the conversion limit, in every text and JSON format.
+    changeset_text = (FIXTURES / "upgrade-to-v2.json").read_text()
+    change_obj = json.loads(changeset_text)
+    journal_line = json.dumps({"seq": 0, "change": change_obj, "inverse": change_obj})
+    overlong_targets = [(parse_spec, spec_text), (parse_config, config_texts[0]),
+                        (parse_config, config_texts[1]), (parse_changeset, changeset_text),
+                        (parse_journal, journal_line)]
+    rnd = random.Random(0xB16)
+    overlong = 0
+    for _ in range(1_000):
+        target, base = rnd.choice(overlong_targets)
+        s = _overlong(rnd, base)
+        overlong += 1
+        try:
+            target(s)
+        except (ParseError, SpecInvalid, ConfigInvalid):
+            pass
+        except Exception as exc:  # noqa: BLE001 - any other escape is the bug
+            crashes += 1
+            errors.append(f"parser crash on an over-long integer: {type(exc).__name__}: "
+                          f"{str(exc)[:80]} in {target.__name__}")
+            break
     elapsed = time.perf_counter() - t0
 
-    ok = not errors and fuzzed == 100_000 and crashes == 0
+    ok = not errors and fuzzed == 100_000 and overlong == 1_000 and crashes == 0
     _report(9, "printers and parsers round-trip; fuzzing never escapes "
                "the reported-error contract",
             ok, (errors[0] if errors else
-                 f"1000 round-trips, {fuzzed} fuzz inputs, {elapsed:.1f} s"))
+                 f"1000 round-trips, {fuzzed} fuzz inputs, {overlong} over-long "
+                 f"integers, {elapsed:.1f} s"))

@@ -381,6 +381,36 @@ class TestApplyUndo:
         assert err.startswith("rejected:")
         assert "my.psc" in err
 
+    def test_type_change_is_rejected_by_a_guard(self, ws, capsys):
+        app = ws / "app.cg"
+        shutil.copy(ws / "psy1.cg", app)
+        before = app.read_bytes()
+        change = ws / "glib-to-mlib.json"
+        change.write_text(json.dumps({
+            "op": "update",
+            "replacements": [[["GLib", "glib.so", "IMsk", 1],
+                              {"id": ["MLib", "glib.so", "IMsk", 2], "files": []}]]}))
+        code, out, err = run(capsys, "apply", str(app), str(change),
+                             "--spec", str(ws / "psycho.csg"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("rejected:")
+        assert app.read_bytes() == before
+        assert not (ws / "app.cg.journal").exists()
+
+    def test_changeset_that_does_not_fit_the_file_exits_2(self, ws, capsys):
+        app = ws / "app.cg"
+        shutil.copy(ws / "psy1.cg", app)
+        before = app.read_bytes()
+        change = ws / "drop-ghost.json"
+        change.write_text(json.dumps({
+            "op": "remove", "ids": [["GLib", "ghost.so", "IMsk", 1]]}))
+        code, _, err = run(capsys, "apply", str(app), str(change),
+                           "--spec", str(ws / "psycho.csg"))
+        assert code == 2
+        assert err.startswith("error:")
+        assert app.read_bytes() == before
+
     def test_malformed_changeset_exits_2(self, ws, capsys):
         change = ws / "broken.json"
         change.write_text("{")

@@ -24,6 +24,7 @@ from confkit import (
     UnknownParent,
     UpdateChange,
     WouldViolateSpec,
+    apply,
     extend,
     remove,
     root_of,
@@ -84,6 +85,21 @@ class TestWorkedUpgrade:
         assert psy1 == before
 
 
+class TestApply:
+    def test_apply_runs_the_operation_of_each_kind(self, psy1, cs_psycho):
+        stepped, entry1 = apply(psy1, build_upgrade_change(), cs_psycho)
+        assert (stepped, entry1) == update(psy1, build_upgrade_change(), cs_psycho)
+        final, entry2 = apply(stepped, build_extend_change(), cs_psycho, seq=1)
+        assert (final, entry2) == extend(stepped, build_extend_change(), cs_psycho, seq=1)
+        back, entry3 = apply(final, entry2.inverse, cs_psycho, seq=2)
+        assert (back, entry3) == remove(final, [JULIB, MY_PSC], cs_psycho, seq=2)
+        assert back == stepped
+
+    def test_apply_keeps_the_guards(self, psy2, cs_psycho):
+        with pytest.raises(DependencyGuard):
+            apply(psy2, RemoveChange((JULIB,)), cs_psycho)
+
+
 # --------------------------------------------------------------------------
 # Gates
 
@@ -102,6 +118,15 @@ class TestSpecGate:
                                   psy1.by_id()[BIN1].child_ids)
         with pytest.raises(WouldViolateSpec):
             update(psy1, UpdateChange.of({BIN1: zin}), cs_psycho)
+
+    def test_invalid_result_is_rejected_with_the_first_error(self, psy1, cs_psycho):
+        ghost = ComponentId("GLib", "ghost.so", IMSK, 1)
+        leaf = Component.leaf(ComponentId("PScr", "extra.psc", IMSK, 1), dependencies={ghost})
+        with pytest.raises(WouldViolateSpec) as exc:
+            extend(psy1, ExtendChange.of([leaf], {leaf.id: PSY1}), cs_psycho)
+        assert str(exc.value).startswith("change breaks the configuration: ")
+        assert "ghost.so" in str(exc.value)
+        assert exc.value.verdict is None
 
     def test_strict_lower_bounds_guard_subtree_removal(self, psy2, cs_psycho):
         removed, entry = remove(psy2, [BIN2], cs_psycho)

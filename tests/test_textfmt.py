@@ -632,3 +632,33 @@ class TestParserRobustness:
             parse_journal(text)
         except ParseError:
             pass
+
+    def test_parse_journal_survives_deep_nesting(self):
+        with pytest.raises(ParseError) as exc:
+            parse_journal("\n" + "[" * 200_000, "j.log")
+        assert exc.value.span.line == 2
+
+    # integers longer than the interpreter's str -> int conversion limit
+    HUGE = "9" * 5000
+
+    def test_parse_config_rejects_an_overlong_version(self):
+        text = f'config c {{\n  component a : T ("a", "o", {self.HUGE}) files [];\n}}\n'
+        with pytest.raises(ParseError) as exc:
+            parse_config(text, "c.cg")
+        assert (exc.value.span.line, exc.value.span.column) == (2, 30)
+        assert "5000-digit" in exc.value.found
+
+    @pytest.mark.parametrize("field", [f"version: {HUGE};", f"total: 0..{HUGE};"],
+                             ids=["version", "total"])
+    def test_parse_spec_rejects_overlong_numbers(self, field):
+        with pytest.raises(ParseError):
+            parse_spec(f"spec s {{\n  node T {{ {field} }}\n  root T;\n}}\n")
+
+    def test_parse_changeset_rejects_an_overlong_integer(self):
+        with pytest.raises(ParseError):
+            parse_changeset(f'{{"op": "remove", "ids": [["T", "a", "o", {self.HUGE}]]}}')
+
+    def test_parse_journal_rejects_an_overlong_integer(self):
+        with pytest.raises(ParseError) as exc:
+            parse_journal(f'\n{{"seq": {self.HUGE}, "change": {{}}, "inverse": {{}}}}', "j.log")
+        assert exc.value.span.line == 2
