@@ -9,7 +9,7 @@ raises on bad input; it returns a report listing every violated condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .algebra import (
@@ -126,6 +126,8 @@ class Configuration:
     """A set of components.  Construction is lenient; see validate_configuration."""
 
     components: tuple[Component, ...] = ()
+    # validate_configuration's report, kept on first use: the value is immutable
+    _report: ValidationReport | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
@@ -204,6 +206,8 @@ class SpecSet:
     """
 
     specs: frozenset[ComponentSpec] = frozenset()
+    # validate_spec's report, kept on first use: the value is immutable
+    _report: ValidationReport | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "specs", frozenset(self.specs))
@@ -233,15 +237,12 @@ class SpecSet:
         return sorted(self.specs, key=lambda cs: cs.ctype)
 
 
-class ConfigurationSpec(SpecSet):
-    """A spec set intended to satisfy the full well-formedness conditions."""
-
-    __slots__ = ()
-
-
 def validate_configuration(config: Configuration | Iterable[Component]) -> ValidationReport:
-    """Check the configuration conditions; report every violation, raise nothing."""
-    components = list(config.components if isinstance(config, Configuration) else config)
+    """Check the configuration conditions; report every violation, raise nothing.
+    A `Configuration` is checked once and keeps its report; a list every time."""
+    if isinstance(config, Configuration) and config._report is not None:
+        return config._report
+    components = list(config)
     violations: list[Violation] = []
 
     ids = [c.id for c in components]
@@ -310,12 +311,18 @@ def validate_configuration(config: Configuration | Iterable[Component]) -> Valid
                     "unreachable", (str(c.id),),
                     f"{c.id} is not reachable from the root"))
 
-    return ValidationReport(tuple(violations))
+    report = ValidationReport(tuple(violations))
+    if isinstance(config, Configuration):
+        object.__setattr__(config, "_report", report)
+    return report
 
 
 def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
-    """Check the spec conditions; report every violation, raise nothing."""
-    nodes = list(spec.specs if isinstance(spec, SpecSet) else spec)
+    """Check the spec conditions; report every violation, raise nothing.
+    A `SpecSet` is checked once and keeps its report; a list every time."""
+    if isinstance(spec, SpecSet) and spec._report is not None:
+        return spec._report
+    nodes = list(spec)
     violations: list[Violation] = []
 
     ctypes = [cs.ctype for cs in nodes]
@@ -393,7 +400,10 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
                     f"the children sums [{lows}, {highs}]",
                     severity="warning"))
 
-    return ValidationReport(tuple(violations))
+    report = ValidationReport(tuple(violations))
+    if isinstance(spec, SpecSet):
+        object.__setattr__(spec, "_report", report)
+    return report
 
 
 def root_of(config: Configuration) -> Component:
@@ -402,10 +412,7 @@ def root_of(config: Configuration) -> Component:
     if not report.ok:
         raise NotAConfiguration(report)
     referenced = {child for c in config for child in c.child_ids}
-    for c in config:
-        if c.id not in referenced:
-            return c
-    raise NotAConfiguration(report)  # unreachable given a clean report
+    return next(c for c in config if c.id not in referenced)
 
 
 def spec_root(spec: SpecSet) -> ComponentSpec | None:

@@ -34,7 +34,6 @@ from .model import (
     Component,
     ComponentSpec,
     Configuration,
-    ConfigurationSpec,
     InvalidSpec,
     NotAConfiguration,
     SpecSet,
@@ -456,7 +455,7 @@ def _build_spec_nodes(raw: list[_RawNode]) -> list[ComponentSpec]:
     return built
 
 
-def check_spec_text(text: str, filename: str = "<spec>") -> tuple[ConfigurationSpec | None, ValidationReport]:
+def check_spec_text(text: str, filename: str = "<spec>") -> tuple[SpecSet | None, ValidationReport]:
     """Parse and validate; return (spec-or-None, full report).
 
     The spec is None exactly when the report has errors.  Raises only
@@ -495,10 +494,10 @@ def check_spec_text(text: str, filename: str = "<spec>") -> tuple[ConfigurationS
     report = ValidationReport(tuple(violations))
     if not report.ok:
         return None, report
-    return ConfigurationSpec(frozenset(nodes)), report
+    return SpecSet(frozenset(nodes)), report
 
 
-def parse_spec(text: str, filename: str = "<spec>") -> ConfigurationSpec:
+def parse_spec(text: str, filename: str = "<spec>") -> SpecSet:
     """Parse a `.csg` file into a validated configuration spec."""
     spec, report = check_spec_text(text, filename)
     if spec is None:
@@ -603,10 +602,11 @@ def check_config_text(text: str, filename: str = "<config>") -> tuple[Configurat
             raise ParseError(span, "disjoint contains/depends lists", str(exc)) from exc
         components.append(built)
 
-    report = validate_configuration(components)
+    config = Configuration(tuple(components))
+    report = validate_configuration(config)
     if not report.ok:
         return None, report
-    return Configuration(tuple(components)), report
+    return config, report
 
 
 def parse_config(text: str, filename: str = "<config>") -> Configuration:
@@ -848,6 +848,12 @@ def to_dot(value: Configuration | SpecSet) -> str:
 # --------------------------------------------------------------------------
 # JSON changesets and journals
 
+def _brief(value: object) -> str:
+    """repr(value), cut to at most 60 characters for an error message."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def component_id_to_obj(ci: ComponentId) -> list:
     return [ci.ctype, ci.name, ci.origin, ci.version]
 
@@ -856,7 +862,7 @@ def component_id_from_obj(obj: object) -> ComponentId:
     if (not isinstance(obj, list) or len(obj) != 4
             or not all(isinstance(x, str) for x in obj[:3])
             or not isinstance(obj[3], int) or isinstance(obj[3], bool)):
-        raise ValueError(f"a component id must be [type, name, origin, version]: {obj!r}")
+        raise ValueError(f"a component id must be [type, name, origin, version]: {_brief(obj)}")
     return ComponentId(obj[0], obj[1], obj[2], obj[3])
 
 
@@ -876,11 +882,11 @@ def component_to_obj(c: Component) -> dict:
 
 def component_from_obj(obj: object) -> Component:
     if not isinstance(obj, dict) or "id" not in obj:
-        raise ValueError(f"a component must be an object with an 'id': {obj!r}")
+        raise ValueError(f"a component must be an object with an 'id': {_brief(obj)}")
     known = {"id", "files", "children", "depends"}
     extra = set(obj) - known
     if extra:
-        raise ValueError(f"unknown component fields: {sorted(extra)}")
+        raise ValueError(f"unknown component fields: {_brief(sorted(extra))}")
     ci = component_id_from_obj(obj["id"])
     if ("files" in obj) == ("children" in obj):
         raise ValueError(f"component {ci} needs exactly one of 'files'/'children'")
@@ -896,7 +902,7 @@ def component_from_obj(obj: object) -> Component:
 
 def _as_list(obj: object, what: str) -> list:
     if not isinstance(obj, list):
-        raise ValueError(f"'{what}' must be a list: {obj!r}")
+        raise ValueError(f"'{what}' must be a list: {_brief(obj)}")
     return obj
 
 
@@ -920,7 +926,7 @@ def changeset_to_obj(change: ChangeSet) -> dict:
 
 def changeset_from_obj(obj: object) -> ChangeSet:
     if not isinstance(obj, dict) or "op" not in obj:
-        raise ValueError(f"a changeset must be an object with an 'op': {obj!r}")
+        raise ValueError(f"a changeset must be an object with an 'op': {_brief(obj)}")
     op = obj["op"]
     if op == "extend":
         components = tuple(component_from_obj(c)
@@ -929,7 +935,7 @@ def changeset_from_obj(obj: object) -> ChangeSet:
         for pair in _as_list(obj.get("attachments", []), "attachments"):
             pair = _as_list(pair, "attachment")
             if len(pair) != 2:
-                raise ValueError(f"an attachment must be [child, parent]: {pair!r}")
+                raise ValueError(f"an attachment must be [child, parent]: {_brief(pair)}")
             attachments.append((component_id_from_obj(pair[0]),
                                 component_id_from_obj(pair[1])))
         return ExtendChange(components, tuple(attachments))
@@ -938,14 +944,14 @@ def changeset_from_obj(obj: object) -> ChangeSet:
         for pair in _as_list(obj.get("replacements", []), "replacements"):
             pair = _as_list(pair, "replacement")
             if len(pair) != 2:
-                raise ValueError(f"a replacement must be [old id, component]: {pair!r}")
+                raise ValueError(f"a replacement must be [old id, component]: {_brief(pair)}")
             replacements.append((component_id_from_obj(pair[0]),
                                  component_from_obj(pair[1])))
         return UpdateChange(tuple(replacements))
     if op == "remove":
         ids = tuple(component_id_from_obj(i) for i in _as_list(obj.get("ids", []), "ids"))
         return RemoveChange(ids)
-    raise ValueError(f"unknown op {op!r}")
+    raise ValueError(f"unknown op {_brief(op)}")
 
 
 def _load_json(text: str, filename: str, lineno: int = 1) -> object:
@@ -998,15 +1004,15 @@ def parse_journal(text: str, filename: str = "<journal>") -> list[JournalEntry]:
         obj = _load_json(line, filename, lineno)
         if not isinstance(obj, dict) or not {"seq", "change", "inverse"} <= set(obj):
             raise ParseError(SourceSpan(filename, lineno, 1),
-                             "an entry with seq/change/inverse", repr(obj)[:60])
+                             "an entry with seq/change/inverse", _brief(obj))
         seq = obj["seq"]
         if not isinstance(seq, int) or isinstance(seq, bool):
             raise ParseError(SourceSpan(filename, lineno, 1),
-                             "an integer seq", repr(seq))
+                             "an integer seq", _brief(seq))
         undoes = obj.get("undoes")
         if undoes is not None and (not isinstance(undoes, int) or isinstance(undoes, bool)):
             raise ParseError(SourceSpan(filename, lineno, 1),
-                             "an integer undoes", repr(undoes))
+                             "an integer undoes", _brief(undoes))
         try:
             change = changeset_from_obj(obj["change"])
             inverse = changeset_from_obj(obj["inverse"])

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AbstractComponentId, ComponentId, Interval, merge_identifiers
+from .algebra import ComponentId, Interval, merge_identifiers
 from .model import (
     ComponentSpec,
     Configuration,
     InvalidSpec,
-    NotAConfiguration,
     SpecSet,
-    validate_configuration,
+    root_of,
     validate_spec,
 )
 from .inference import infer
@@ -54,37 +53,14 @@ class CompatVerdict:
     reasons: tuple[CompatReason, ...] = ()
 
 
-def component_spec_leq(a: ComponentSpec, b: ComponentSpec) -> bool:
-    """a refines b: narrower identity, covered dependencies, included child
-    slots and total."""
-    if not a.aci <= b.aci:
-        return False
-    for dep in a.dependencies:
-        if not any(dep <= other for other in b.dependencies):
-            return False
-    for slot in a.children:
-        match = b.slot_for(slot.aci.ctype)
-        if match is None:
-            return False
-        if not (slot.aci <= match.aci and slot.count.included_in(match.count)):
-            return False
-    return a.total.included_in(b.total)
-
-
-def spec_set_leq(a: SpecSet, b: SpecSet) -> bool:
-    """Every node of a refines some node of b."""
-    return all(any(component_spec_leq(cs, other) for other in b) for cs in a)
-
-
 def ctype_order(config: Configuration) -> list[str]:
     """Ctypes in depth-first order from the root, children sorted, first seen
-    wins.  Assumes a valid configuration."""
+    wins.  Raises NotAConfiguration, through root_of, if the configuration
+    is invalid."""
     by_id = config.by_id()
-    referenced = {child for c in config for child in c.child_ids}
-    root = next(c for c in config if c.id not in referenced)
     order: list[str] = []
     seen: set[str] = set()
-    stack = [root.id]
+    stack = [root_of(config).id]
     while stack:
         current = by_id[stack.pop()]
         if current.id.ctype not in seen:
@@ -111,18 +87,12 @@ def _node_failures(
     if not inferred.aci <= node.aci:
         return [ComplianceFailure(t, "identifier", f"{t} identifiers do not all match the spec node")]
 
-    dep_folds: dict[str, AbstractComponentId] = {}
-    for dep in inferred.dependencies:
-        if dep.ctype in dep_folds:
-            dep_folds[dep.ctype] = dep_folds[dep.ctype].merge(dep)
-        else:
-            dep_folds[dep.ctype] = dep
-    for dep_type in sorted(dep_folds):
-        fold = dep_folds[dep_type]
-        if not any(fold <= entry for entry in node.dependencies):
-            return [ComplianceFailure(
-                t, "dependencies",
-                f"{t} dependencies on {dep_type} match no dependency entry")]
+    unmatched = [dep.ctype for dep in inferred.dependencies
+                 if not any(dep <= entry for entry in node.dependencies)]
+    if unmatched:
+        return [ComplianceFailure(
+            t, "dependencies",
+            f"{t} dependencies on {min(unmatched)} match no dependency entry")]
 
     for slot in sorted(inferred.children, key=lambda s: s.aci.ctype):
         match = node.slot_for(slot.aci.ctype)
@@ -151,6 +121,21 @@ def _node_failures(
                     t, "missing-required-child",
                     f"{t} never contains {slot.aci.ctype}, required at least {slot.count.lo}")]
     return []
+
+
+def component_spec_leq(a: ComponentSpec, b: ComponentSpec) -> bool:
+    """a refines b: narrower identity, covered dependencies, included child
+    slots and total."""
+    return not _node_failures(a, b, strict_lower_bounds=False)
+
+
+def spec_set_leq(a: SpecSet, b: SpecSet) -> bool:
+    """Every node of a refines the node of b with the same ctype."""
+    for cs in a:
+        node = b.spec_for(cs.ctype)
+        if node is None or not component_spec_leq(cs, node):
+            return False
+    return True
 
 
 def compliant(
@@ -192,16 +177,14 @@ def direct_check(
     children.  Kept deliberately independent of the inference code path.
     """
     _checked_spec(spec)
-    report = validate_configuration(config)
-    if not report.ok:
-        raise NotAConfiguration(report)
+    order = ctype_order(config)  # raises NotAConfiguration, through root_of
 
     grouped: dict[str, list] = {}
     for component in config:
         grouped.setdefault(component.id.ctype, []).append(component)
 
     failures: list[ComplianceFailure] = []
-    for ctype in ctype_order(config):
+    for ctype in order:
         members = grouped[ctype]
         node = spec.spec_for(ctype)
         if node is None:
@@ -302,15 +285,23 @@ def ci_compat_leq(
     return _counterpart(a, b, composite_a=composite_a, relaxed=relaxed) and a.version <= b.version
 
 
+def _stand_in_reasons(a: Configuration, b: Configuration, relaxed: bool) -> list[CompatReason]:
+    """Components of a, in sorted order, that have no counterpart in b or
+    only counterparts at older versions."""
+    reasons: list[CompatReason] = []
+    for ca in sorted(a, key=lambda c: c.sort_key):
+        versions = [cb.id.version for cb in b
+                    if _counterpart(ca.id, cb.id, composite_a=not ca.is_leaf, relaxed=relaxed)]
+        if not versions:
+            reasons.append(CompatReason(str(ca.id), "no-counterpart"))
+        elif max(versions) < ca.id.version:
+            reasons.append(CompatReason(str(ca.id), "version-regression"))
+    return reasons
+
+
 def config_leq(a: Configuration, b: Configuration, *, relaxed: bool = True) -> bool:
     """Every component of a has a counterpart in b."""
-    return all(
-        any(
-            ci_compat_leq(ca.id, cb.id, composite_a=not ca.is_leaf, relaxed=relaxed)
-            for cb in b
-        )
-        for ca in a
-    )
+    return not _stand_in_reasons(a, b, relaxed)
 
 
 def compatible(
@@ -336,14 +327,6 @@ def compatible(
         if not verdict.compliant:
             subject = verdict.failures[0].subject
             reasons.append(CompatReason(subject, f"not-compliant-{label}"))
-    if reasons:
-        return CompatVerdict(False, tuple(reasons))
-
-    for ca in sorted(a, key=lambda c: c.sort_key):
-        versions = [cb.id.version for cb in b
-                    if _counterpart(ca.id, cb.id, composite_a=not ca.is_leaf, relaxed=relaxed)]
-        if not versions:
-            reasons.append(CompatReason(str(ca.id), "no-counterpart"))
-        elif max(versions) < ca.id.version:
-            reasons.append(CompatReason(str(ca.id), "version-regression"))
+    if not reasons:
+        reasons = _stand_in_reasons(a, b, relaxed)
     return CompatVerdict(not reasons, tuple(reasons))

@@ -19,7 +19,6 @@ from confkit import (
     ComponentId,
     ComponentSpec,
     Configuration,
-    ConfigurationSpec,
     Interval,
     NameSet,
     OriginSet,
@@ -86,8 +85,8 @@ ACI_MLIB = AbstractComponentId("MLib", NameSet.of("mlib.so"), OriginSet.of(IMSK)
 ACI_GLIB = AbstractComponentId("GLib", NameSet.of("glib.so"), OriginSet.of(IMSK))
 
 
-def build_cs_psycho() -> ConfigurationSpec:
-    return ConfigurationSpec(frozenset({
+def build_cs_psycho() -> SpecSet:
+    return SpecSet(frozenset({
         ComponentSpec(
             ACI_PSYCHO,
             frozenset(),
@@ -243,5 +242,5 @@ def psy2() -> Configuration:
 
 
 @pytest.fixture
-def cs_psycho() -> ConfigurationSpec:
+def cs_psycho() -> SpecSet:
     return build_cs_psycho()

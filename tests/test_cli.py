@@ -419,6 +419,15 @@ class TestApplyUndo:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_malformed_changeset_error_is_short(self, ws, capsys):
+        change = ws / "long.json"
+        change.write_text("[" + "1," * 100_000 + "1]")
+        code, _, err = run(capsys, "apply", str(ws / "psy1.cg"), str(change),
+                           "--spec", str(ws / "psycho.csg"))
+        assert code == 2
+        assert err.startswith("error:")
+        assert len(err) < 300 + len(str(change))
+
     def test_corrupted_journal_exits_2(self, ws, capsys):
         app = ws / "app.cg"
         shutil.copy(ws / "psy1.cg", app)

@@ -21,6 +21,7 @@ from confkit import (
     NameSet,
     NotAConfiguration,
     SpecSet,
+    compliant,
     root_of,
     spec_root,
     validate_configuration,
@@ -300,6 +301,43 @@ class TestValueGuards:
                     ChildSlot(AbstractComponentId("U", NameSet.of("a")), Interval(1, 1)),
                     ChildSlot(AbstractComponentId("U", NameSet.of("b")), Interval(1, 1)),
                 }))
+
+
+# --------------------------------------------------------------------------
+# Validation runs once per value; the report is kept on it
+
+
+class TestValidationMemo:
+    def test_a_value_keeps_its_report(self, psy1, cs_psycho):
+        assert validate_configuration(psy1) is validate_configuration(psy1)
+        assert validate_spec(cs_psycho) is validate_spec(cs_psycho)
+
+    def test_validated_values_equal_unvalidated_ones(self, psy1, cs_psycho):
+        assert validate_configuration(psy1).ok and validate_spec(cs_psycho).ok
+        fresh_config, fresh_spec = build_psy1(), build_cs_psycho()
+        assert psy1 == fresh_config and hash(psy1) == hash(fresh_config)
+        assert cs_psycho == fresh_spec and hash(cs_psycho) == hash(fresh_spec)
+        assert repr(cs_psycho) == repr(fresh_spec)
+
+    def test_an_invalid_value_raises_on_every_call(self, psy1, cs_psycho):
+        broken = Configuration(tuple(c for c in psy1.components if c.id != GLIB1))
+        for _ in range(2):
+            with pytest.raises(NotAConfiguration):
+                compliant(broken, cs_psycho)
+        ghost = SpecSet(frozenset({ComponentSpec(
+            AbstractComponentId("A"),
+            children=frozenset({ChildSlot(AbstractComponentId("Ghost"), Interval(1, 1))}),
+            total=Interval(1, 1))}))
+        for _ in range(2):
+            with pytest.raises(InvalidSpec):
+                compliant(psy1, ghost)
+
+    def test_plain_lists_are_checked_each_time(self, psy1, cs_psycho):
+        components, nodes = list(psy1.components), list(cs_psycho.specs)
+        assert validate_configuration(components) == validate_configuration(psy1)
+        assert validate_spec(nodes) == validate_spec(cs_psycho)
+        assert validate_configuration(components) is not validate_configuration(components)
+        assert not validate_configuration(components[1:]).ok
 
 
 # --------------------------------------------------------------------------

@@ -658,6 +658,39 @@ class TestParserRobustness:
         with pytest.raises(ParseError):
             parse_changeset(f'{{"op": "remove", "ids": [["T", "a", "o", {self.HUGE}]]}}')
 
+    # a 100,001-element list where something short is expected: the error
+    # text quotes a cut-down repr of it, not the whole value
+    LONG = "[" + "1," * 100_000 + "1]"
+
+    @pytest.mark.parametrize("template", [
+        "{long}",
+        '{{"op": {long}}}',
+        '{{"op": "remove", "ids": "{text}"}}',
+        '{{"op": "remove", "ids": [{long}]}}',
+        '{{"op": "extend", "components": [{long}]}}',
+        '{{"op": "extend", "components": [{{"id": ["T", "a", "o", 1], {fields}}}]}}',
+        '{{"op": "extend", "attachments": [{long}]}}',
+        '{{"op": "update", "replacements": [{long}]}}',
+    ], ids=["changeset", "op", "as-list", "component-id", "component", "fields",
+            "attachment", "replacement"])
+    def test_parse_changeset_error_text_is_bounded(self, template):
+        text = template.format(
+            long=self.LONG, text="x" * 300_000,
+            fields=", ".join(f'"f{i}": 0' for i in range(20_000)))
+        with pytest.raises(ParseError) as exc:
+            parse_changeset(text)
+        assert len(str(exc.value)) < 300
+
+    @pytest.mark.parametrize("line", [
+        '{{"seq": 0, "change": {long}, "inverse": {{}}}}',
+        '{{"seq": {long}, "change": {{}}, "inverse": {{}}}}',
+        '{{"seq": 0, "undoes": {long}, "change": {{}}, "inverse": {{}}}}',
+    ], ids=["change", "seq", "undoes"])
+    def test_parse_journal_error_text_is_bounded(self, line):
+        with pytest.raises(ParseError) as exc:
+            parse_journal(line.format(long=self.LONG))
+        assert len(str(exc.value)) < 300
+
     def test_parse_journal_rejects_an_overlong_integer(self):
         with pytest.raises(ParseError) as exc:
             parse_journal(f'\n{{"seq": {self.HUGE}, "change": {{}}, "inverse": {{}}}}', "j.log")

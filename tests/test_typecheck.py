@@ -4,6 +4,7 @@ compatibility."""
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from confkit import (
     NameSet,
     NotAConfiguration,
     SpecSet,
+    VersionSet,
     ci_compat_leq,
     compatible,
     compliant,
@@ -32,6 +34,7 @@ from confkit import (
 )
 
 from conftest import (
+    ACI_CGLIB,
     APP2,
     BIN1,
     DEF_PSC,
@@ -71,6 +74,23 @@ def with_extra(config: Configuration, parent: ComponentId, extra: Component) -> 
     return Configuration(tuple(out))
 
 
+def with_random_dependencies(config: Configuration, rnd: random.Random) -> Configuration:
+    """The same tree; PScr components depend on a random subset of the other
+    PScr and CGLib members, any other component on one random member with
+    probability 1/20."""
+    ids = sorted((c.id for c in config), key=lambda i: i.sort_key)
+    out = []
+    for c in config:
+        candidates = [i for i in ids if i != c.id and i not in c.child_ids]
+        if c.id.ctype == "PScr":
+            pool = [i for i in candidates if i.ctype in ("PScr", "CGLib")]
+            deps = rnd.sample(pool, rnd.randint(0, len(pool)))
+        else:
+            deps = rnd.sample(candidates, 1) if rnd.random() < 0.05 else []
+        out.append(dataclasses.replace(c, dependencies=frozenset(deps)))
+    return Configuration(tuple(out))
+
+
 def clauses(verdict) -> list[tuple[str, str]]:
     return [(f.subject, f.clause) for f in verdict.failures]
 
@@ -103,6 +123,18 @@ class TestSpecSubtyping:
         assert not component_spec_leq(a, b)
         assert component_spec_leq(a, wide)
         assert component_spec_leq(b, wide)  # no dependencies to cover
+
+    def test_dependency_entries_are_covered_one_by_one(self):
+        # merging {1, 5} with 2..3 would give the span 1..5, which
+        # {1, 2, 3, 5} does not include
+        two = ComponentSpec(AbstractComponentId("T"), dependencies=frozenset({
+            AbstractComponentId("X", versions=VersionSet.of(1, 5)),
+            AbstractComponentId("X", versions=VersionSet.between(2, 3)),
+        }))
+        one = ComponentSpec(AbstractComponentId("T"), dependencies=frozenset({
+            AbstractComponentId("X", versions=VersionSet.of(1, 2, 3, 5)),
+        }))
+        assert component_spec_leq(two, one)
 
     def test_child_slots_must_match(self):
         slot = ChildSlot(AbstractComponentId("U"), Interval(1, 2))
@@ -213,8 +245,25 @@ class TestCompliance:
             compliant(Configuration(), cs_psycho)
 
     def test_compliance_equals_subtyping_of_inferred_spec(self, psy1, psy2, cs_psycho):
-        for cfg in (psy1, psy2):
-            assert compliant(cfg, cs_psycho).compliant == spec_set_leq(infer(cfg), cs_psycho)
+        # Besides the goldens: seeded variants of psy2 with random dependencies,
+        # against the authored spec and against one whose PScr node admits
+        # only PScr dependencies at version 1.
+        narrowed = SpecSet(frozenset(
+            dataclasses.replace(cs, dependencies=frozenset({
+                AbstractComponentId("PScr", versions=VersionSet.of(1)), ACI_CGLIB}))
+            if cs.ctype == "PScr" else cs
+            for cs in cs_psycho))
+        cases = [(psy1, cs_psycho), (psy2, cs_psycho)]
+        rnd = random.Random(4)
+        for _ in range(150):
+            cfg = with_random_dependencies(psy2, rnd)
+            cases += [(cfg, cs_psycho), (cfg, narrowed)]
+        verdicts = set()
+        for cfg, spec in cases:
+            verdict = compliant(cfg, spec).compliant
+            assert verdict == spec_set_leq(infer(cfg), spec)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 # --------------------------------------------------------------------------
