@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 INF: float = math.inf
 
@@ -95,10 +95,9 @@ class NameSet:
             p for p in prefixes
             if not any(p != q and p.startswith(q) for q in prefixes)
         )
-        literals = frozenset(
-            n for n in frozenset(self.literals)
-            if not any(n.startswith(q) for q in keep)
-        )
+        literals = frozenset(self.literals)
+        if keep:
+            literals = frozenset(n for n in literals if not any(n.startswith(q) for q in keep))
         object.__setattr__(self, "literals", literals)
         object.__setattr__(self, "prefixes", keep)
 
@@ -283,12 +282,7 @@ class ComponentId:
         return (self.ctype, self.name, self.version, self.origin)
 
     def to_abstract(self) -> AbstractComponentId:
-        return AbstractComponentId(
-            ctype=self.ctype,
-            names=NameSet.of(self.name),
-            origins=OriginSet.of(self.origin),
-            versions=VersionSet.of(self.version),
-        )
+        return lift_identifiers([self])
 
     def __str__(self) -> str:
         return f"{self.ctype}({self.name}, {self.origin}, v{self.version})"
@@ -335,12 +329,73 @@ class AbstractComponentId:
 
 
 def merge_identifiers(acis: Iterable[AbstractComponentId]) -> AbstractComponentId:
-    """Fold merge over a non-empty iterable of same-ctype identifiers."""
-    it: Iterator[AbstractComponentId] = iter(acis)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("merge_identifiers needs at least one identifier") from None
-    for aci in it:
-        acc = acc.merge(aci)
-    return acc
+    """Merge a non-empty iterable of same-ctype identifiers in one pass.
+
+    Equal to folding `AbstractComponentId.merge` over them: names, origins
+    and versions are unioned once and normalized once.  A version span
+    anywhere gives the smallest span enclosing every non-empty part; an
+    empty version set is the identity.
+    """
+    items = list(acis)
+    if not items:
+        raise ValueError("merge_identifiers needs at least one identifier")
+    first = items[0]
+    if len(items) == 1:
+        return first
+    literals: set[str] = set()
+    prefixes: set[str] = set()
+    origins: set[str] = set()
+    values: set[int] = set()
+    spans: list[Interval] = []
+    any_name = any_origin = False
+    for aci in items:
+        if aci.ctype != first.ctype:
+            raise TypeMismatch(f"cannot merge {first.ctype} with {aci.ctype}")
+        names, froms, versions = aci.names, aci.origins, aci.versions
+        if names.is_any:
+            any_name = True
+        else:
+            literals.update(names.literals)
+            prefixes.update(names.prefixes)
+        if froms.is_any:
+            any_origin = True
+        else:
+            origins.update(froms.values)
+        if versions.span is not None:
+            spans.append(versions.span)
+        else:
+            assert versions.values is not None
+            values.update(versions.values)
+    if spans:
+        lo = min(s.lo for s in spans)
+        hi = max(s.hi for s in spans)
+        if values:
+            lo, hi = min(lo, min(values)), max(hi, max(values))
+        merged = VersionSet(span=Interval(lo, hi))
+    else:
+        merged = VersionSet(values=frozenset(values))
+    return AbstractComponentId(
+        ctype=first.ctype,
+        names=NameSet(is_any=True) if any_name else NameSet(frozenset(literals), frozenset(prefixes)),
+        origins=OriginSet(is_any=True) if any_origin else OriginSet(frozenset(origins)),
+        versions=merged,
+    )
+
+
+def lift_identifiers(ids: Iterable[ComponentId]) -> AbstractComponentId:
+    """The smallest family holding a non-empty iterable of same-ctype ids:
+    `merge_identifiers` over their singleton families, built without a
+    family per id."""
+    items = list(ids)
+    if not items:
+        raise ValueError("lift_identifiers needs at least one identifier")
+    ctype = items[0].ctype
+    for ci in items:
+        if ci.ctype != ctype:
+            raise TypeMismatch(f"cannot merge {ctype} with {ci.ctype}")
+    return AbstractComponentId(
+        ctype=ctype,
+        names=NameSet(frozenset(ci.name for ci in items)),
+        origins=OriginSet(frozenset(ci.origin for ci in items)),
+        versions=VersionSet(values=frozenset(ci.version for ci in items)),
+    )

@@ -1,16 +1,17 @@
 """Minimal-spec inference: from a configuration to the tightest spec set it obeys.
 
 Each component yields a one-node spec set describing exactly itself; the specs
-of a whole configuration are folded together with `unify`, which merges nodes
-of the same ctype: identifier families union, dependency entries of one ctype
-merge, child slots widen to cover both sides, totals add.
+of a whole configuration are what folding `unify` over them gives, which
+merges nodes of the same ctype: identifier families union, dependency entries
+of one ctype merge, child slots widen to cover both sides, totals add.
+`infer` builds that result in one grouped pass per ctype instead of the fold.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .algebra import AbstractComponentId, Interval, merge_identifiers
+from .algebra import AbstractComponentId, ComponentId, Interval, lift_identifiers
 from .model import (
     ChildSlot,
     ComponentSpec,
@@ -78,40 +79,62 @@ def unify(a: SpecSet, b: SpecSet) -> SpecSet:
     return SpecSet(frozenset(out))
 
 
+def _group_spec(members: list[Component], faithful_leaf_rule: bool) -> ComponentSpec:
+    """The node the `unify` fold builds for one ctype's components, built in
+    one pass: identifiers and each dependency ctype merge once, a child slot
+    counts [min, max] over the members (0 for a member without such
+    children), totals add.  A lone member keeps one dependency entry per
+    id, as `infer_component` gives them and the fold passes them through."""
+    deps_by_type: dict[str, list[ComponentId]] = {}
+    kids_by_type: dict[str, list[ComponentId]] = {}
+    counts: dict[str, list[int]] = {}
+    total = 0
+    for c in members:
+        for dep in c.dependencies:
+            deps_by_type.setdefault(dep.ctype, []).append(dep)
+        if c.is_leaf:
+            total += 1 if faithful_leaf_rule else 0
+            continue
+        total += len(c.child_ids)
+        tally: dict[str, int] = {}
+        for child in c.child_ids:
+            kids_by_type.setdefault(child.ctype, []).append(child)
+            tally[child.ctype] = tally.get(child.ctype, 0) + 1
+        for ctype, k in tally.items():
+            counts.setdefault(ctype, []).append(k)
+    if len(members) == 1:
+        deps = frozenset(d.to_abstract() for d in members[0].dependencies)
+    else:
+        deps = frozenset(lift_identifiers(group) for group in deps_by_type.values())
+    slots = frozenset(
+        ChildSlot(
+            lift_identifiers(kids_by_type[ctype]),
+            Interval(min(ks) if len(ks) == len(members) else 0, max(ks)),
+        )
+        for ctype, ks in counts.items()
+    )
+    return ComponentSpec(
+        aci=lift_identifiers(c.id for c in members),
+        dependencies=deps, children=slots, total=Interval(total, total))
+
+
 def infer_component(component: Component, *, faithful_leaf_rule: bool = False) -> SpecSet:
     """The one-node spec set describing exactly this component.
 
     A leaf's own total is [0,0] by default; with faithful_leaf_rule it is
     [1,1], counting the leaf as occupying one slot of its own.
     """
-    aci = component.id.to_abstract()
-    deps = frozenset(d.to_abstract() for d in component.dependencies)
-    if component.is_leaf:
-        total = Interval(1, 1) if faithful_leaf_rule else Interval(0, 0)
-        return SpecSet(frozenset({ComponentSpec(aci=aci, dependencies=deps, total=total)}))
-    groups: dict[str, list] = {}
-    for child in component.child_ids:
-        groups.setdefault(child.ctype, []).append(child)
-    slots = frozenset(
-        ChildSlot(
-            merge_identifiers(ci.to_abstract() for ci in members),
-            Interval(len(members), len(members)),
-        )
-        for members in groups.values()
-    )
-    k = len(component.child_ids)
-    spec = ComponentSpec(aci=aci, dependencies=deps, children=slots, total=Interval(k, k))
-    return SpecSet(frozenset({spec}))
+    return SpecSet(frozenset({_group_spec([component], faithful_leaf_rule)}))
 
 
 def infer(config: Configuration, *, faithful_leaf_rule: bool = False) -> SpecSet:
-    """The minimal spec set a valid configuration complies with."""
+    """The minimal spec set a valid configuration complies with: one node
+    per ctype, exactly what folding `unify` over `infer_component` gives."""
     report = validate_configuration(config)
     if not report.ok:
         raise NotAConfiguration(report)
-    acc: SpecSet | None = None
+    groups: dict[str, list[Component]] = {}
     for component in config:
-        single = infer_component(component, faithful_leaf_rule=faithful_leaf_rule)
-        acc = single if acc is None else unify(acc, single)
-    assert acc is not None  # a valid configuration is non-empty
-    return acc
+        groups.setdefault(component.id.ctype, []).append(component)
+    return SpecSet(frozenset(_group_spec(members, faithful_leaf_rule)
+                             for members in groups.values()))

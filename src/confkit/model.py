@@ -74,6 +74,15 @@ class InvalidSpec(ValueError):
         super().__init__(f"not a valid configuration spec: {first}")
 
 
+# Most components have no dependencies and many leaves list no files: every
+# empty set a component holds is this one object instead of a copy each.
+_EMPTY: frozenset = frozenset()
+
+
+def _frozen(items: Iterable) -> frozenset:
+    return frozenset(items) or _EMPTY
+
+
 @dataclass(frozen=True, slots=True)
 class Component:
     """One deployed component: identifier, dependencies, and payload.
@@ -88,13 +97,13 @@ class Component:
     children: frozenset[ComponentId] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dependencies", frozenset(self.dependencies))
+        object.__setattr__(self, "dependencies", _frozen(self.dependencies))
         if (self.elements is None) == (self.children is None):
             raise ValueError(f"{self.id}: exactly one of elements/children required")
         if self.elements is not None:
-            object.__setattr__(self, "elements", frozenset(self.elements))
+            object.__setattr__(self, "elements", _frozen(self.elements))
         if self.children is not None:
-            object.__setattr__(self, "children", frozenset(self.children))
+            object.__setattr__(self, "children", _frozen(self.children))
             overlap = self.dependencies & self.children
             if overlap:
                 raise ValueError(f"{self.id}: dependencies overlap children: {sorted(str(i) for i in overlap)}")
@@ -113,7 +122,7 @@ class Component:
 
     @property
     def child_ids(self) -> frozenset[ComponentId]:
-        return self.children if self.children is not None else frozenset()
+        return self.children if self.children is not None else _EMPTY
 
     @property
     def sort_key(self) -> tuple:
@@ -245,26 +254,23 @@ def validate_configuration(config: Configuration | Iterable[Component]) -> Valid
     components = list(config)
     violations: list[Violation] = []
 
-    ids = [c.id for c in components]
-    id_set = set(ids)
-    seen: set[ComponentId] = set()
-    for i in ids:
-        if i in seen:
-            continue
-        if ids.count(i) > 1:
+    # dicts keep insertion order: duplicates are reported in first-occurrence order
+    declared: dict[ComponentId, int] = {}
+    for c in components:
+        declared[c.id] = declared.get(c.id, 0) + 1
+    for i, times in declared.items():
+        if times > 1:
             violations.append(Violation(
-                "duplicate-id", (str(i),),
-                f"component id {i} declared {ids.count(i)} times"))
-            seen.add(i)
+                "duplicate-id", (str(i),), f"component id {i} declared {times} times"))
 
     for c in components:
         for child in sorted(c.child_ids, key=lambda i: i.sort_key):
-            if child not in id_set:
+            if child not in declared:
                 violations.append(Violation(
                     "children-closure", (str(c.id), str(child)),
                     f"{c.id} contains {child}, which is not in the configuration"))
         for dep in sorted(c.dependencies, key=lambda i: i.sort_key):
-            if dep not in id_set:
+            if dep not in declared:
                 violations.append(Violation(
                     "dependency-closure", (str(c.id), str(dep)),
                     f"{c.id} depends on {dep}, which is not in the configuration"))
@@ -325,8 +331,10 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
     nodes = list(spec)
     violations: list[Violation] = []
 
-    ctypes = [cs.ctype for cs in nodes]
-    for t in sorted(set(t for t in ctypes if ctypes.count(t) > 1)):
+    declared: dict[str, int] = {}
+    for cs in nodes:
+        declared[cs.ctype] = declared.get(cs.ctype, 0) + 1
+    for t in sorted(t for t, times in declared.items() if times > 1):
         violations.append(Violation(
             "duplicate-type", (t,), f"more than one spec node of ctype {t}"))
 

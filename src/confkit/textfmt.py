@@ -86,6 +86,11 @@ class ConfigInvalid(NotAConfiguration):
 _PUNCT = {"{", "}", "[", "]", "(", ")", ":", ";", ",", "|", "*"}
 
 
+def _cut(text: str) -> str:
+    """text, cut to at most 60 characters for an error message."""
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 @dataclass(frozen=True, slots=True)
 class _Token:
     kind: str  # IDENT | NAT | STRING | EOF | one of the punctuation strings
@@ -97,7 +102,7 @@ class _Token:
         if self.kind == "EOF":
             return "end of input"
         if self.kind == "STRING":
-            return f'string "{self.value}"'
+            return f'string "{_cut(self.value)}"'
         return f"'{self.value}'"
 
 
@@ -477,9 +482,12 @@ def check_spec_text(text: str, filename: str = "<spec>") -> tuple[SpecSet | None
     p.expect("EOF", "end of input")
 
     nodes = _build_spec_nodes(raw)
-    violations = list(validate_spec(nodes).violations)
-    declared = root_tok.value
+    # A SpecSet keeps its report, so compliant does not validate a parsed
+    # spec again; nodes sharing a ctype cannot form one and stay a list.
     ctypes = {n.ctype for n in nodes}
+    checked = SpecSet(frozenset(nodes)) if len(ctypes) == len(nodes) else nodes
+    violations = list(validate_spec(checked).violations)
+    declared = root_tok.value
     if declared not in ctypes:
         violations.append(Violation(
             "declared-root", (declared,),
@@ -494,7 +502,8 @@ def check_spec_text(text: str, filename: str = "<spec>") -> tuple[SpecSet | None
     report = ValidationReport(tuple(violations))
     if not report.ok:
         return None, report
-    return SpecSet(frozenset(nodes)), report
+    assert isinstance(checked, SpecSet)  # repeated ctypes are errors
+    return checked, report
 
 
 def parse_spec(text: str, filename: str = "<spec>") -> SpecSet:
@@ -850,8 +859,7 @@ def to_dot(value: Configuration | SpecSet) -> str:
 
 def _brief(value: object) -> str:
     """repr(value), cut to at most 60 characters for an error message."""
-    text = repr(value)
-    return text if len(text) <= 60 else text[:57] + "..."
+    return _cut(repr(value))
 
 
 def component_id_to_obj(ci: ComponentId) -> list:
@@ -889,12 +897,12 @@ def component_from_obj(obj: object) -> Component:
         raise ValueError(f"unknown component fields: {_brief(sorted(extra))}")
     ci = component_id_from_obj(obj["id"])
     if ("files" in obj) == ("children" in obj):
-        raise ValueError(f"component {ci} needs exactly one of 'files'/'children'")
+        raise ValueError(f"component {_cut(str(ci))} needs exactly one of 'files'/'children'")
     deps = frozenset(component_id_from_obj(d) for d in _as_list(obj.get("depends", []), "depends"))
     if "files" in obj:
         files = _as_list(obj["files"], "files")
         if not all(isinstance(f, str) for f in files):
-            raise ValueError(f"component {ci} files must be strings")
+            raise ValueError(f"component {_cut(str(ci))} files must be strings")
         return Component.leaf(ci, files, deps)
     children = frozenset(component_id_from_obj(c) for c in _as_list(obj["children"], "children"))
     return Component.composite(ci, children, deps)

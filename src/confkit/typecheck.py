@@ -287,15 +287,27 @@ def ci_compat_leq(
 
 def _stand_in_reasons(a: Configuration, b: Configuration, relaxed: bool) -> list[CompatReason]:
     """Components of a, in sorted order, that have no counterpart in b or
-    only counterparts at older versions."""
+    only counterparts at older versions.  The newest version of b per
+    (ctype, origin, name), and per (ctype, origin) for the composites
+    relaxed matching renames, is looked up instead of scanning b for each
+    component of a; the relation is `_counterpart`'s."""
+    by_name: dict[tuple, int] = {}
+    by_origin: dict[tuple, int] = {}
+    for cb in b:
+        i = cb.id
+        for index, key in ((by_name, (i.ctype, i.origin, i.name)), (by_origin, (i.ctype, i.origin))):
+            index[key] = max(index.get(key, i.version), i.version)
     reasons: list[CompatReason] = []
     for ca in sorted(a, key=lambda c: c.sort_key):
-        versions = [cb.id.version for cb in b
-                    if _counterpart(ca.id, cb.id, composite_a=not ca.is_leaf, relaxed=relaxed)]
-        if not versions:
-            reasons.append(CompatReason(str(ca.id), "no-counterpart"))
-        elif max(versions) < ca.id.version:
-            reasons.append(CompatReason(str(ca.id), "version-regression"))
+        i = ca.id
+        if relaxed and not ca.is_leaf:
+            best = by_origin.get((i.ctype, i.origin))
+        else:
+            best = by_name.get((i.ctype, i.origin, i.name))
+        if best is None:
+            reasons.append(CompatReason(str(i), "no-counterpart"))
+        elif best < i.version:
+            reasons.append(CompatReason(str(i), "version-regression"))
     return reasons
 
 

@@ -21,6 +21,7 @@ from confkit import (
     NameSet,
     NotAConfiguration,
     SpecSet,
+    Violation,
     compliant,
     root_of,
     spec_root,
@@ -171,6 +172,38 @@ class TestConfigurationConditions:
         assert not report.ok
         assert conditions(report) == ["unreachable", "unreachable"]
         assert {v.subjects[0] for v in report.violations} == {str(a), str(b)}
+
+    def test_violations_come_in_a_fixed_order(self):
+        # x three times and y twice, interleaved: duplicates are reported in
+        # first-occurrence order with their counts, then the closure checks
+        # per component in input order.
+        x, y = ComponentId("L", "x", "o", 1), ComponentId("L", "y", "o", 1)
+        r, m, d = (ComponentId("R", "r", "o", 1), ComponentId("M", "m", "o", 1),
+                   ComponentId("D", "d", "o", 1))
+        report = validate_configuration([
+            Component.leaf(x), Component.leaf(y, dependencies=[d]), Component.leaf(x),
+            Component.composite(r, [x, y, m]), Component.leaf(y), Component.leaf(x),
+        ])
+        assert report.violations == (
+            Violation("duplicate-id", (str(x),), f"component id {x} declared 3 times"),
+            Violation("duplicate-id", (str(y),), f"component id {y} declared 2 times"),
+            Violation("dependency-closure", (str(y), str(d)),
+                      f"{y} depends on {d}, which is not in the configuration"),
+            Violation("children-closure", (str(r), str(m)),
+                      f"{r} contains {m}, which is not in the configuration"),
+        )
+
+    def test_unreachable_components_come_in_input_order(self):
+        r, leaf = ComponentId("R", "r", "o", 1), ComponentId("L", "x", "o", 1)
+        a, b = ComponentId("C", "b", "o", 1), ComponentId("C", "a", "o", 1)
+        report = validate_configuration([
+            Component.composite(r, [leaf]), Component.composite(a, [b]),
+            Component.leaf(leaf), Component.composite(b, [a]),
+        ])
+        assert report.violations == (
+            Violation("unreachable", (str(a),), f"{a} is not reachable from the root"),
+            Violation("unreachable", (str(b),), f"{b} is not reachable from the root"),
+        )
 
     @given(configurations())
     def test_generated_configurations_are_valid(self, cfg):

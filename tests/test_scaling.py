@@ -1,0 +1,91 @@
+"""Scaling guard for the checking core, without a wall clock.
+
+Each core function is called on a root -> bins -> leaves configuration in
+which every leaf depends on one shared `Lib`, at n = 50 and at 4n = 200
+components.  The guard counts the Python and C function calls the call
+makes (`sys.setprofile` "call" and "c_call" events): linear work gives a
+ratio near 4 between the two sizes, quadratic work one near 16.  The ratio
+must stay below 6.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from confkit import (
+    Component,
+    ComponentId,
+    Configuration,
+    compliant,
+    config_leq,
+    infer,
+    parse_spec,
+    validate_configuration,
+)
+
+LEAVES_PER_BIN = 5
+SMALL_BINS, LARGE_BINS = 8, 33  # 2 + 6 * 8 = 50 and 2 + 6 * 33 = 200 components
+MAX_RATIO = 6
+
+SPEC = parse_spec("""
+spec tree {
+  node Root { total: 1..*; contains { Bin: 0..*, Lib: 1..1 } }
+  node Bin { total: 0..*; contains { Leaf: 0..* } }
+  node Leaf { total: 0..0; depends { Lib } }
+  node Lib { total: 0..0; }
+  root Root;
+}
+""")
+
+
+def tree(bins: int, version: int = 1) -> Configuration:
+    """A fresh, not yet validated configuration of 2 + 6 * bins components."""
+    lib = ComponentId("Lib", "lib.so", "o", 1)
+    comps = [Component.leaf(lib, ["lib.so"])]
+    bin_ids = []
+    for b in range(bins):
+        leaves = [ComponentId("Leaf", f"leaf{b}.{k}", "o", version) for k in range(LEAVES_PER_BIN)]
+        comps += [Component.leaf(leaf, ["main"], [lib]) for leaf in leaves]
+        bin_ids.append(ComponentId("Bin", f"bin{b}", "o", version))
+        comps.append(Component.composite(bin_ids[-1], leaves))
+    comps.append(Component.composite(ComponentId("Root", "root", "o", version), bin_ids + [lib]))
+    return Configuration(tuple(comps))
+
+
+def call_events(fn, *args, **kwargs) -> int:
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+CALLS = {
+    "validate_configuration": lambda bins: (validate_configuration, tree(bins)),
+    "infer": lambda bins: (infer, tree(bins)),
+    "config_leq": lambda bins: (config_leq, tree(bins), tree(bins, version=2)),
+    "compliant": lambda bins: (compliant, tree(bins), SPEC),
+}
+
+
+def test_inputs_are_n_and_4n_compliant_components():
+    assert 4 * len(tree(SMALL_BINS)) == len(tree(LARGE_BINS)) == 200
+    assert compliant(tree(SMALL_BINS), SPEC).compliant
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_calls_grow_linearly(name):
+    small, large = CALLS[name](SMALL_BINS), CALLS[name](LARGE_BINS)
+    ratio = call_events(*large) / call_events(*small)
+    assert ratio < MAX_RATIO, f"{name}: {ratio:.1f}x the calls for 4x the components"

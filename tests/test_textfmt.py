@@ -30,6 +30,7 @@ from confkit import (
     print_config,
     print_spec,
     to_dot,
+    validate_spec,
 )
 from confkit.textfmt import (
     changeset_from_obj,
@@ -246,6 +247,19 @@ class TestSpecGrammar:
         with pytest.raises(SpecInvalid) as exc:
             parse_spec(text)
         assert exc.value.report.errors
+
+    def test_identical_nodes_of_one_ctype_are_still_duplicates(self):
+        spec, report = check_spec_text(
+            "spec s { node T { total: 0..0; } node T { total: 0..0; } root T; }")
+        assert spec is None
+        assert [v.condition for v in report.errors] == ["duplicate-type"]
+
+    def test_a_parsed_spec_carries_its_report(self):
+        spec, report = check_spec_text(FIXTURES.joinpath("psycho.csg").read_text())
+        assert spec is not None and report.ok
+        kept = spec._report
+        assert kept is not None and kept.violations == report.violations
+        assert validate_spec(spec) is kept
 
 
 class TestConfigGrammar:
@@ -690,6 +704,29 @@ class TestParserRobustness:
         with pytest.raises(ParseError) as exc:
             parse_journal(line.format(long=self.LONG))
         assert len(str(exc.value)) < 300
+
+    # a 100,000-character name: the error text quotes at most 60 of them
+    NAME = "n" * 100_000
+
+    def test_parse_config_string_token_quote_is_bounded(self):
+        with pytest.raises(ParseError) as exc:
+            parse_config(f'config "{self.NAME}" {{ }}')
+        assert len(str(exc.value)) < 200
+        assert exc.value.found.startswith('string "nnn')
+
+    def test_parse_spec_string_token_quote_is_bounded(self):
+        with pytest.raises(ParseError) as exc:
+            parse_spec(f'spec s {{ node T {{ name: "a" "{self.NAME}"; total: 0..0; }} root T; }}')
+        assert len(str(exc.value)) < 200
+        assert exc.value.found.startswith('string "nnn')
+
+    @pytest.mark.parametrize("fields", ['', ', "files": [1]'], ids=["payload", "files"])
+    def test_parse_changeset_component_id_quote_is_bounded(self, fields):
+        with pytest.raises(ParseError) as exc:
+            parse_changeset(
+                f'{{"op": "extend", "components": [{{"id": ["T", "{self.NAME}", "o", 1]{fields}}}]}}')
+        assert len(str(exc.value)) < 200
+        assert "T(nnn" in str(exc.value)
 
     def test_parse_journal_rejects_an_overlong_integer(self):
         with pytest.raises(ParseError) as exc:
