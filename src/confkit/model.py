@@ -10,6 +10,7 @@ raises on bad input; it returns a report listing every violated condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .algebra import (
@@ -77,6 +78,9 @@ class InvalidSpec(ValueError):
 # Most components have no dependencies and many leaves list no files: every
 # empty set a component holds is this one object instead of a copy each.
 _EMPTY: frozenset = frozenset()
+
+
+_sort_key = attrgetter("sort_key")
 
 
 def _frozen(items: Iterable) -> frozenset:
@@ -182,28 +186,29 @@ class ComponentSpec:
     children: frozenset[ChildSlot] = frozenset()
     total: Interval = Interval(0, 0)
 
+    # the child slots by ctype, built with the value: it is immutable
+    _slots: dict[str, ChildSlot] = field(default=None, init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "dependencies", frozenset(self.dependencies))
         object.__setattr__(self, "children", frozenset(self.children))
-        seen: set[str] = set()
+        slots: dict[str, ChildSlot] = {}
         for slot in self.children:
-            if slot.aci.ctype in seen:
+            if slot.aci.ctype in slots:
                 raise ValueError(f"{self.ctype}: more than one child slot of ctype {slot.aci.ctype}")
-            seen.add(slot.aci.ctype)
+            slots[slot.aci.ctype] = slot
+        object.__setattr__(self, "_slots", slots)
 
     @property
     def ctype(self) -> str:
         return self.aci.ctype
 
     def slot_for(self, ctype: str) -> ChildSlot | None:
-        for slot in self.children:
-            if slot.aci.ctype == ctype:
-                return slot
-        return None
+        return self._slots.get(ctype)
 
     @property
     def child_types(self) -> frozenset[str]:
-        return frozenset(slot.aci.ctype for slot in self.children)
+        return frozenset(self._slots)
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,14 +222,17 @@ class SpecSet:
     specs: frozenset[ComponentSpec] = frozenset()
     # validate_spec's report, kept on first use: the value is immutable
     _report: ValidationReport | None = field(default=None, init=False, repr=False, compare=False)
+    # the nodes by ctype, built with the value
+    _nodes: dict[str, ComponentSpec] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "specs", frozenset(self.specs))
-        seen: set[str] = set()
+        nodes: dict[str, ComponentSpec] = {}
         for cs in self.specs:
-            if cs.ctype in seen:
+            if cs.ctype in nodes:
                 raise ValueError(f"more than one spec node of ctype {cs.ctype}")
-            seen.add(cs.ctype)
+            nodes[cs.ctype] = cs
+        object.__setattr__(self, "_nodes", nodes)
 
     def __iter__(self) -> Iterator[ComponentSpec]:
         return iter(self.specs)
@@ -233,14 +241,11 @@ class SpecSet:
         return len(self.specs)
 
     def spec_for(self, ctype: str) -> ComponentSpec | None:
-        for cs in self.specs:
-            if cs.ctype == ctype:
-                return cs
-        return None
+        return self._nodes.get(ctype)
 
     @property
     def ctypes(self) -> frozenset[str]:
-        return frozenset(cs.ctype for cs in self.specs)
+        return frozenset(self._nodes)
 
     def sorted_specs(self) -> list[ComponentSpec]:
         return sorted(self.specs, key=lambda cs: cs.ctype)
@@ -254,34 +259,34 @@ def validate_configuration(config: Configuration | Iterable[Component]) -> Valid
     components = list(config)
     violations: list[Violation] = []
 
-    # dicts keep insertion order: duplicates are reported in first-occurrence order
-    declared: dict[ComponentId, int] = {}
-    for c in components:
-        declared[c.id] = declared.get(c.id, 0) + 1
-    for i, times in declared.items():
-        if times > 1:
-            violations.append(Violation(
-                "duplicate-id", (str(i),), f"component id {i} declared {times} times"))
+    # Set operations reuse the hashes their members keep, so membership is
+    # tested in bulk and only the ids that are reported get sorted.
+    ids = [c.id for c in components]
+    declared = set(ids)
+    if len(declared) < len(ids):
+        # dicts keep insertion order: duplicates are reported in first-occurrence order
+        times: dict[ComponentId, int] = {}
+        for i in ids:
+            times[i] = times.get(i, 0) + 1
+        for i, n in times.items():
+            if n > 1:
+                violations.append(Violation(
+                    "duplicate-id", (str(i),), f"component id {i} declared {n} times"))
 
-    for c in components:
-        for child in sorted(c.child_ids, key=lambda i: i.sort_key):
-            if child not in declared:
+    child_sets = [c.child_ids for c in components]
+    referenced = frozenset().union(*child_sets)
+    if not declared.issuperset(referenced.union(*[c.dependencies for c in components])):
+        for c in components:
+            for child in sorted(c.child_ids.difference(declared), key=_sort_key):
                 violations.append(Violation(
                     "children-closure", (str(c.id), str(child)),
                     f"{c.id} contains {child}, which is not in the configuration"))
-        for dep in sorted(c.dependencies, key=lambda i: i.sort_key):
-            if dep not in declared:
+            for dep in sorted(c.dependencies.difference(declared), key=_sort_key):
                 violations.append(Violation(
                     "dependency-closure", (str(c.id), str(dep)),
                     f"{c.id} depends on {dep}, which is not in the configuration"))
 
-    referenced: dict[ComponentId, list[ComponentId]] = {}
-    for c in components:
-        for child in c.child_ids:
-            referenced.setdefault(child, []).append(c.id)
-
-    roots = [c for c in components if c.id not in referenced]
-    root_ids = sorted({c.id for c in roots}, key=lambda i: i.sort_key)
+    root_ids = sorted(declared - referenced, key=_sort_key)
     if not components:
         violations.append(Violation("unique-root", (), "configuration is empty"))
     elif not root_ids:
@@ -292,9 +297,14 @@ def validate_configuration(config: Configuration | Iterable[Component]) -> Valid
             "unique-root", tuple(str(i) for i in root_ids),
             "more than one root: " + ", ".join(str(i) for i in root_ids)))
 
-    for child, parents in sorted(referenced.items(), key=lambda kv: kv[0].sort_key):
-        distinct = sorted(set(parents), key=lambda i: i.sort_key)
-        if len(distinct) > 1:
+    if sum(map(len, child_sets)) > len(referenced):  # some id is listed as a child twice
+        parents: dict[ComponentId, set[ComponentId]] = {}
+        for c in components:
+            for child in c.child_ids:
+                parents.setdefault(child, set()).add(c.id)
+        shared = [child for child, of in parents.items() if len(of) > 1]
+        for child in sorted(shared, key=_sort_key):
+            distinct = sorted(parents[child], key=_sort_key)
             violations.append(Violation(
                 "multiple-parents", (str(child),) + tuple(str(p) for p in distinct),
                 f"{child} is contained in more than one component"))

@@ -2,14 +2,24 @@
 and the JSON encoding used for changesets and journals.
 
 Parsing is total: any input yields a value or a ParseError pointing at the
-offending token; structurally broken inputs that *parse* raise SpecInvalid or
-ConfigInvalid carrying the full validation report.  Printing is canonical —
-entries are sorted, so equal values produce identical bytes.
+offending lexeme; structurally broken inputs that *parse* raise SpecInvalid
+or ConfigInvalid carrying the full validation report.  Printing is
+canonical — entries are sorted, so equal values produce identical bytes.
+
+One compiled master pattern cuts a text into lexemes with `re.findall`, and
+the parsers walk the resulting list of strings by index.  Lines and columns
+are computed only when a ParseError is built.  The whole text is lexed
+before the grammar runs, so a lexical error is reported before any grammar
+error.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .algebra import (
@@ -83,7 +93,36 @@ class ConfigInvalid(NotAConfiguration):
 # --------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = {"{", "}", "[", "]", "(", ")", ":", ";", ",", "|", "*"}
+# Whitespace and comments; skipped before the first lexeme and after each.
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+_LEADING = re.compile(_SKIP)
+_STRING_BODY = r'[^"\\\n]*(?:\\["\\][^"\\\n]*)*'
+_STRING_PREFIX = re.compile(_STRING_BODY)
+_ESCAPE = re.compile(r"\\(.)")
+
+
+@functools.lru_cache(maxsize=16)
+def _lexer(odd: str) -> re.Pattern[str]:
+    """The master pattern: one match per lexeme, the lexeme in group 1, the
+    whitespace and comments after it in the match.  A character no lexeme
+    starts with matches outside the group, so `findall` gives '' for it;
+    the end of the text gives one last ''.
+
+    `re` classes follow `str.isdecimal` (`\\d`) and `str.isalnum` (`\\w`),
+    while numbers are runs of `str.isdigit` characters and identifiers
+    start with a `str.isalpha` one.  `odd` holds the numeric characters of
+    the text that are neither decimal nor letters: those that are digits
+    extend numbers, and none of them starts an identifier.
+    """
+    digits = "".join(c for c in odd if c.isdigit())
+    word = rf"(?![{odd}])[^\W\d]\w*" if odd else r"[^\W\d]\w*"
+    return re.compile(rf'(?:(\.\.|[{{}}\[\]():;,|*]|"{_STRING_BODY}"|[\d{digits}]+|{word})'
+                      rf"|(?s:.)){_SKIP}|\Z")
+
+
+def _odd_numerics(text: str) -> str:
+    return "".join(sorted(c for c in set(text)
+                          if c.isnumeric() and not c.isdecimal() and not c.isalpha()))
 
 
 def _cut(text: str) -> str:
@@ -91,228 +130,193 @@ def _cut(text: str) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # IDENT | NAT | STRING | EOF | one of the punctuation strings
-    value: str
-    line: int
-    column: int
-
-    def describe(self) -> str:
-        if self.kind == "EOF":
-            return "end of input"
-        if self.kind == "STRING":
-            return f'string "{_cut(self.value)}"'
-        return f"'{self.value}'"
+def _unquote(lexeme: str) -> str:
+    body = lexeme[1:-1]
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
 
 
-def _tokenize(text: str, filename: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == ".":
-            if i + 1 < n and text[i + 1] == ".":
-                tokens.append(_Token("..", "..", start_line, start_col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError(SourceSpan(filename, line, col), "'..'", "'.'")
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            i += 1
-            col += 1
-            out: list[str] = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise ParseError(
-                        SourceSpan(filename, start_line, start_col),
-                        "a closing '\"'", "end of line")
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in ('"', "\\"):
-                        raise ParseError(
-                            SourceSpan(filename, line, col),
-                            "an escape ('\\\"' or '\\\\')",
-                            repr(text[i:i + 2]))
-                    out.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                out.append(c)
-                i += 1
-                col += 1
-            tokens.append(_Token("STRING", "".join(out), start_line, start_col))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("NAT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(SourceSpan(filename, line, col), "a token", repr(ch))
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+def _is_ident(lexeme: str) -> bool:
+    return lexeme[:1].isalpha() or lexeme[:1] == "_"
+
+
+def _is_string(lexeme: str) -> bool:
+    return lexeme[:1] == '"'
+
+
+def _describe(lexeme: str) -> str:
+    if not lexeme:
+        return "end of input"
+    if lexeme[0] == '"':
+        return f'string "{_cut(_unquote(lexeme))}"'
+    return f"'{lexeme}'"
 
 
 # --------------------------------------------------------------------------
 # Parser
 
 class _Parser:
+    """The lexemes of one text and the index `i` of the next one to read.
+
+    The kind of a lexeme follows from its first character: '' is the end of
+    the input, '"' starts a string (quotes and escapes kept until read), a
+    digit a natural number, a letter or '_' an identifier, and punctuation
+    is the lexeme itself.  Line and column are computed only for an error.
+    """
+
     def __init__(self, text: str, filename: str):
-        self.filename = filename
-        self.tokens = _tokenize(text, filename)
-        self.pos = 0
+        self.text, self.filename = text, filename
+        self.lexer = _lexer("" if text.isascii() else _odd_numerics(text))
+        self.start = _LEADING.match(text).end()
+        self.lex: list[str] = self.lexer.findall(text, self.start)
+        self.i = 0
+        first = self.lex.index("")
+        if first < len(self.lex) - 1:  # the first lexical error beats any grammar error
+            raise self._lexical_error(first)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def _offset(self, k: int) -> int:
+        """Where lexeme k starts.  Columns skip comment characters, so the
+        end of input after a final comment sits at the comment's '#'."""
+        text, gap = self.text, 0  # gap: where the text skipped before lexeme k begins
+        for n, m in enumerate(self.lexer.finditer(text, self.start)):
+            if n == k:
+                break
+            gap = m.end(1)
+        at = m.start()
+        if at == len(text):
+            comment = text.find("#", max(gap, text.rfind("\n") + 1))
+            return comment if comment >= 0 else at
+        return at
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def _span_at(self, at: int) -> SourceSpan:
+        line_start = self.text.rfind("\n", 0, at) + 1
+        return SourceSpan(self.filename, self.text.count("\n", 0, at) + 1, at - line_start + 1)
 
-    def span(self, tok: _Token) -> SourceSpan:
-        return SourceSpan(self.filename, tok.line, tok.column)
+    def span(self, k: int) -> SourceSpan:
+        return self._span_at(self._offset(k))
 
-    def fail(self, expected: str, tok: _Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(self.span(tok), expected, tok.describe())
+    def _lexical_error(self, k: int) -> ParseError:
+        text = self.text
+        at = self._offset(k)
+        if text[at] == ".":
+            return ParseError(self._span_at(at), "'..'", "'.'")
+        if text[at] != '"':
+            return ParseError(self._span_at(at), "a token", repr(text[at]))
+        stop = _STRING_PREFIX.match(text, at + 1).end()
+        if stop == len(text) or text[stop] == "\n":
+            return ParseError(self._span_at(at), "a closing '\"'", "end of line")
+        return ParseError(self._span_at(stop), "an escape ('\\\"' or '\\\\')",
+                          repr(text[stop:stop + 2]))
 
-    def expect(self, kind: str, expected: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.fail(expected or f"'{kind}'")
-        return self.advance()
+    def fail(self, expected: str) -> ParseError:
+        return ParseError(self.span(self.i), expected, _describe(self.lex[self.i]))
 
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.value != word:
-            raise self.fail(f"'{word}'")
-        return self.advance()
+    def skip(self, lexeme: str) -> bool:
+        """Read `lexeme` if it comes next."""
+        if self.lex[self.i] == lexeme:
+            self.i += 1
+            return True
+        return False
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "IDENT" and tok.value == word
+    def take(self, lexeme: str, expected: str | None = None) -> None:
+        """Read `lexeme`: a punctuation mark, a keyword or the end ('')."""
+        if not self.skip(lexeme):
+            raise self.fail(expected or f"'{lexeme}'")
+
+    def ident(self, what: str) -> str:
+        lexeme = self.lex[self.i]
+        if not _is_ident(lexeme):
+            raise self.fail(what)
+        self.i += 1
+        return lexeme
+
+    def string(self, what: str) -> str:
+        lexeme = self.lex[self.i]
+        if not _is_string(lexeme):
+            raise self.fail(what)
+        self.i += 1
+        return _unquote(lexeme)
+
+    def nonempty(self, what: str, empty: str) -> str:
+        if self.lex[self.i] == '""':
+            raise ParseError(self.span(self.i), empty, '\'""\'')
+        return self.string(what)
+
+    def nat(self, what: str = "a natural number") -> int:
+        lexeme = self.lex[self.i]
+        if not lexeme[:1].isdigit():
+            raise self.fail(what)
+        try:
+            value = int(lexeme)
+        except ValueError:  # too many digits to convert, or a digit int() does not read ('²')
+            raise ParseError(self.span(self.i), what, f"a {len(lexeme)}-digit number") from None
+        self.i += 1
+        return value
+
+    def items(self, read: Callable[[str], str], what: str) -> list[str]:
+        """`[x, ...]`, each x given by `read(what)`; the list may be empty
+        and end with `,`."""
+        self.take("[")
+        items: list[str] = []
+        while self.lex[self.i] != "]":
+            items.append(read(what))
+            if not self.skip(","):
+                break
+        self.take("]")
+        return items
 
     # shared value productions ---------------------------------------------
 
-    def parse_nat(self, what: str = "a natural number") -> int:
-        tok = self.expect("NAT", what)
-        try:
-            return int(tok.value)
-        except ValueError:  # more digits than the interpreter converts
-            raise ParseError(self.span(tok), what, f"a {len(tok.value)}-digit number") from None
-
-    def parse_list(self, kind: str, what: str) -> list[str]:
-        """`[` items separated by `,` `]`; may be empty, may end with `,`."""
-        self.expect("[")
-        items: list[str] = []
-        while self.peek().kind != "]":
-            items.append(self.expect(kind, what).value)
-            if self.peek().kind != ",":
-                break
-            self.advance()
-        self.expect("]")
-        return items
-
-    def parse_upper(self, start: _Token, lo: int) -> float | int:
-        """The `hi` or `*` of `lo..(hi|*)`, once `lo..` is read."""
-        if self.peek().kind == "*":
-            self.advance()
+    def parse_upper(self, start: int, lo: int) -> float | int:
+        """The `hi` or `*` of `lo..(hi|*)`, once `lo..` is read from lexeme `start`."""
+        if self.skip("*"):
             return INF
-        hi = self.parse_nat("an upper bound or '*'")
+        hi = self.nat("an upper bound or '*'")
         if lo > hi:
-            raise ParseError(
-                self.span(start), "interval lower bound ≤ upper bound",
-                f"'{lo}..{hi}'")
+            raise ParseError(self.span(start), "interval lower bound ≤ upper bound",
+                             f"'{lo}..{hi}'")
         return hi
 
     def parse_interval(self) -> Interval:
-        start = self.peek()
-        lo = self.parse_nat("an interval")
-        self.expect("..", "'..'")
+        start = self.i
+        lo = self.nat("an interval")
+        self.take("..")
         return Interval(lo, self.parse_upper(start, lo))
 
     def parse_nameset(self) -> NameSet:
-        if self.at_keyword("any"):
-            self.advance()
+        if self.skip("any"):
             return NameSet.everything()
         literals: set[str] = set()
         prefixes: set[str] = set()
         while True:
-            tok = self.expect("STRING", "a quoted name or 'any'")
-            if self.peek().kind == "*":
-                self.advance()
-                if not tok.value:
-                    raise ParseError(self.span(tok), "a non-empty prefix", '\'""*\'')
-                prefixes.add(tok.value)
+            start = self.i
+            value = self.string("a quoted name or 'any'")
+            if self.skip("*"):
+                if not value:
+                    raise ParseError(self.span(start), "a non-empty prefix", '\'""*\'')
+                prefixes.add(value)
             else:
-                literals.add(tok.value)
-            if self.peek().kind != "|":
-                break
-            self.advance()
-        return NameSet(frozenset(literals), frozenset(prefixes))
+                literals.add(value)
+            if not self.skip("|"):
+                return NameSet(frozenset(literals), frozenset(prefixes))
 
     def parse_originset(self) -> OriginSet:
-        if self.at_keyword("any"):
-            self.advance()
+        if self.skip("any"):
             return OriginSet.everything()
-        literals: set[str] = set()
-        while True:
-            literals.add(self.expect("STRING", "a quoted origin or 'any'").value)
-            if self.peek().kind != "|":
-                break
-            self.advance()
+        literals = {self.string("a quoted origin or 'any'")}
+        while self.skip("|"):
+            literals.add(self.string("a quoted origin or 'any'"))
         return OriginSet(frozenset(literals))
 
     def parse_verset(self) -> VersionSet:
-        if self.at_keyword("any"):
-            self.advance()
+        if self.skip("any"):
             return VersionSet.everything()
-        start = self.peek()
-        first = self.parse_nat("a version, an interval, or 'any'")
-        if self.peek().kind == "..":
-            self.advance()
+        start = self.i
+        first = self.nat("a version, an interval, or 'any'")
+        if self.skip(".."):
             return VersionSet.between(first, self.parse_upper(start, first))
         values = {first}
-        while self.peek().kind == "|":
-            self.advance()
-            values.add(self.parse_nat())
+        while self.skip("|"):
+            values.add(self.nat())
         return VersionSet.of(*values)
 
 
@@ -322,141 +326,107 @@ class _Parser:
 @dataclass(slots=True)
 class _RawNode:
     ctype: str
-    names: NameSet
-    origins: OriginSet
-    versions: VersionSet
+    identity: dict[str, object]  # the constrained AbstractComponentId fields
     total: Interval | None
-    contains: list[tuple[str, Interval]]
-    depends: list[tuple[str, dict[str, object]]]
+    contains: dict[str, Interval]  # by child type
+    depends: dict[str, dict[str, object]]  # constrained fields by dependency type
 
 
-_IDENTITY_FIELDS = ("name", "origin", "version")
+# field word -> (AbstractComponentId field, value production)
+_IDENTITY_FIELDS = {
+    "name": ("names", _Parser.parse_nameset),
+    "origin": ("origins", _Parser.parse_originset),
+    "version": ("versions", _Parser.parse_verset),
+}
 
 
 def _parse_dep_constraints(p: _Parser) -> dict[str, object]:
     fields: dict[str, object] = {}
-    while not p.peek().kind == ")":
-        tok = p.peek()
-        if tok.kind != "IDENT" or tok.value not in _IDENTITY_FIELDS:
+    while p.lex[p.i] != ")":
+        if p.lex[p.i] not in _IDENTITY_FIELDS:
             raise p.fail("a name, origin, or version constraint")
-        if tok.value in fields:
-            raise p.fail("each constraint at most once", tok)
-        p.advance()
-        p.expect(":")
-        if tok.value == "name":
-            fields["name"] = p.parse_nameset()
-        elif tok.value == "origin":
-            fields["origin"] = p.parse_originset()
-        else:
-            fields["version"] = p.parse_verset()
-        p.expect(";")
+        attr, production = _IDENTITY_FIELDS[p.lex[p.i]]
+        if attr in fields:
+            raise p.fail("each constraint at most once")
+        p.i += 1
+        p.take(":")
+        fields[attr] = production(p)
+        p.take(";")
     return fields
 
 
 def _parse_node(p: _Parser) -> _RawNode:
-    p.expect_keyword("node")
-    ctype = p.expect("IDENT", "a node type").value
-    p.expect("{")
-    names = NameSet.everything()
-    origins = OriginSet.everything()
-    versions = VersionSet.everything()
-    total: Interval | None = None
-    contains: list[tuple[str, Interval]] = []
-    depends: list[tuple[str, dict[str, object]]] = []
+    p.take("node")
+    node = _RawNode(p.ident("a node type"), {}, None, {}, {})
+    p.take("{")
     seen: set[str] = set()
-    while p.peek().kind != "}":
-        tok = p.peek()
-        if tok.kind != "IDENT":
+    while p.lex[p.i] != "}":
+        field = p.lex[p.i]
+        if not _is_ident(field):
             raise p.fail("a field or '}'")
-        if tok.value in seen:
-            raise p.fail("each field at most once", tok)
-        if tok.value == "name":
-            p.advance()
-            p.expect(":")
-            names = p.parse_nameset()
-            p.expect(";")
-        elif tok.value == "origin":
-            p.advance()
-            p.expect(":")
-            origins = p.parse_originset()
-            p.expect(";")
-        elif tok.value == "version":
-            p.advance()
-            p.expect(":")
-            versions = p.parse_verset()
-            p.expect(";")
-        elif tok.value == "total":
-            p.advance()
-            p.expect(":")
-            total = p.parse_interval()
-            p.expect(";")
-        elif tok.value == "contains":
-            p.advance()
-            p.expect("{")
+        if field in seen:
+            raise p.fail("each field at most once")
+        if field in _IDENTITY_FIELDS or field == "total":
+            p.i += 1
+            p.take(":")
+            if field == "total":
+                node.total = p.parse_interval()
+            else:
+                attr, production = _IDENTITY_FIELDS[field]
+                node.identity[attr] = production(p)
+            p.take(";")
+        elif field == "contains":
+            p.i += 1
+            p.take("{")
             while True:
-                t = p.expect("IDENT", "a child type")
-                if any(t.value == u for u, _ in contains):
-                    raise ParseError(p.span(t), "distinct child types", t.describe())
-                p.expect(":")
-                contains.append((t.value, p.parse_interval()))
-                if p.peek().kind != ",":
+                start = p.i
+                t = p.ident("a child type")
+                if t in node.contains:
+                    raise ParseError(p.span(start), "distinct child types", _describe(t))
+                p.take(":")
+                node.contains[t] = p.parse_interval()
+                if not p.skip(","):
                     break
-                p.advance()
-            p.expect("}")
-        elif tok.value == "depends":
-            p.advance()
-            p.expect("{")
+            p.take("}")
+        elif field == "depends":
+            p.i += 1
+            p.take("{")
             while True:
-                t = p.expect("IDENT", "a dependency type")
-                if any(t.value == u for u, _ in depends):
-                    raise ParseError(p.span(t), "distinct dependency types", t.describe())
-                constraints: dict[str, object] = {}
-                if p.peek().kind == "(":
-                    p.advance()
-                    constraints = _parse_dep_constraints(p)
-                    p.expect(")")
-                depends.append((t.value, constraints))
-                if p.peek().kind != ",":
+                start = p.i
+                t = p.ident("a dependency type")
+                if t in node.depends:
+                    raise ParseError(p.span(start), "distinct dependency types", _describe(t))
+                node.depends[t] = {}
+                if p.skip("("):
+                    node.depends[t] = _parse_dep_constraints(p)
+                    p.take(")")
+                if not p.skip(","):
                     break
-                p.advance()
-            p.expect("}")
+            p.take("}")
         else:
             raise p.fail(
                 "'name', 'origin', 'version', 'total', 'contains', or 'depends'")
-        seen.add(tok.value)
-    p.expect("}")
-    return _RawNode(ctype, names, origins, versions, total, contains, depends)
+        seen.add(field)
+    p.take("}")
+    return node
 
 
 def _build_spec_nodes(raw: list[_RawNode]) -> list[ComponentSpec]:
+    own = [AbstractComponentId(node.ctype, **node.identity) for node in raw]
     acis: dict[str, AbstractComponentId] = {}
-    for node in raw:
-        aci = AbstractComponentId(node.ctype, node.names, node.origins, node.versions)
-        acis.setdefault(node.ctype, aci)
+    for aci in own:
+        acis.setdefault(aci.ctype, aci)
     built: list[ComponentSpec] = []
-    for node in raw:
-        slots = []
-        for t, count in node.contains:
-            target = acis.get(t, AbstractComponentId(t))
-            slots.append(ChildSlot(target, count))
-        deps = []
-        for t, constraints in node.depends:
-            base = acis.get(t, AbstractComponentId(t))
-            deps.append(AbstractComponentId(
-                t,
-                constraints.get("name", base.names),       # type: ignore[arg-type]
-                constraints.get("origin", base.origins),   # type: ignore[arg-type]
-                constraints.get("version", base.versions),  # type: ignore[arg-type]
-            ))
+    for node, aci in zip(raw, own):
+        slots = [ChildSlot(acis.get(t) or AbstractComponentId(t), count)
+                 for t, count in node.contains.items()]
+        deps = [dataclasses.replace(acis.get(t) or AbstractComponentId(t), **constraints)
+                for t, constraints in node.depends.items()]
         total = node.total
         if total is None:
-            total = sum_intervals(count for _, count in node.contains)
+            total = sum_intervals(node.contains.values())
         built.append(ComponentSpec(
-            aci=AbstractComponentId(node.ctype, node.names, node.origins, node.versions),
-            dependencies=frozenset(deps),
-            children=frozenset(slots),
-            total=total,
-        ))
+            aci=aci, dependencies=frozenset(deps), children=frozenset(slots), total=total))
     return built
 
 
@@ -467,19 +437,19 @@ def check_spec_text(text: str, filename: str = "<spec>") -> tuple[SpecSet | None
     ParseError.
     """
     p = _Parser(text, filename)
-    p.expect_keyword("spec")
-    p.expect("IDENT", "a spec name")
-    p.expect("{")
+    p.take("spec")
+    p.ident("a spec name")
+    p.take("{")
     raw: list[_RawNode] = []
-    while p.at_keyword("node"):
+    while p.lex[p.i] == "node":
         raw.append(_parse_node(p))
     if not raw:
         raise p.fail("'node'")
-    p.expect_keyword("root")
-    root_tok = p.expect("IDENT", "the root type")
-    p.expect(";")
-    p.expect("}")
-    p.expect("EOF", "end of input")
+    p.take("root")
+    declared = p.ident("the root type")
+    p.take(";")
+    p.take("}")
+    p.take("", "end of input")
 
     nodes = _build_spec_nodes(raw)
     # A SpecSet keeps its report, so compliant does not validate a parsed
@@ -487,7 +457,6 @@ def check_spec_text(text: str, filename: str = "<spec>") -> tuple[SpecSet | None
     ctypes = {n.ctype for n in nodes}
     checked = SpecSet(frozenset(nodes)) if len(ctypes) == len(nodes) else nodes
     violations = list(validate_spec(checked).violations)
-    declared = root_tok.value
     if declared not in ctypes:
         violations.append(Violation(
             "declared-root", (declared,),
@@ -517,98 +486,68 @@ def parse_spec(text: str, filename: str = "<spec>") -> SpecSet:
 # --------------------------------------------------------------------------
 # Configuration files
 
-@dataclass(slots=True)
-class _RawComp:
-    handle: str
-    ctype: str
-    name: str
-    origin: str
-    version: int
-    children: list[str] | None   # handles; None for leaves
-    files: list[str] | None
-    depends: list[str]
-
-
-def _parse_component(p: _Parser) -> _RawComp:
-    p.expect_keyword("component")
-    handle = p.expect("IDENT", "a component handle").value
-    p.expect(":")
-    ctype = p.expect("IDENT", "a component type").value
-    p.expect("(")
-    name_tok = p.expect("STRING", "a component name")
-    if not name_tok.value:
-        raise ParseError(p.span(name_tok), "a non-empty name", '\'""\'')
-    p.expect(",")
-    origin_tok = p.expect("STRING", "an origin")
-    if not origin_tok.value:
-        raise ParseError(p.span(origin_tok), "a non-empty origin", '\'""\'')
-    p.expect(",")
-    version = p.parse_nat("a version")
-    p.expect(")")
-
-    children: list[str] | None = None
-    files: list[str] | None = None
-    if p.at_keyword("contains"):
-        p.advance()
-        children = p.parse_list("IDENT", "a component handle")
-    elif p.at_keyword("files"):
-        p.advance()
-        files = p.parse_list("STRING", "a file name")
+def _component(p: _Parser) -> tuple[str, ComponentId, list[str] | None, list[str] | None, list[str]]:
+    """`component h : T ("name", "origin", v) (contains [h, ...] | files ["f", ...])
+    (depends [h, ...])? ;`.  Returns the handle, the id, and the children's
+    handles, the files and the dependencies' handles."""
+    p.take("component")
+    handle = p.ident("a component handle")
+    p.take(":")
+    ctype = p.ident("a component type")
+    p.take("(")
+    name = p.nonempty("a component name", "a non-empty name")
+    p.take(",")
+    origin = p.nonempty("an origin", "a non-empty origin")
+    p.take(",")
+    version = p.nat("a version")
+    p.take(")")
+    children = files = None
+    if p.skip("contains"):
+        children = p.items(p.ident, "a component handle")
+    elif p.skip("files"):
+        files = p.items(p.string, "a file name")
     else:
         raise p.fail("'contains' or 'files'")
-
-    depends: list[str] = []
-    if p.at_keyword("depends"):
-        p.advance()
-        depends = p.parse_list("IDENT", "a component handle")
-    p.expect(";")
-    return _RawComp(handle, ctype, name_tok.value, origin_tok.value, version,
-                    children, files, depends)
+    depends = p.items(p.ident, "a component handle") if p.skip("depends") else []
+    p.take(";")
+    return handle, ComponentId(ctype, name, origin, version), children, files, depends
 
 
 def check_config_text(text: str, filename: str = "<config>") -> tuple[Configuration | None, ValidationReport]:
     """Parse and validate; return (configuration-or-None, full report)."""
     p = _Parser(text, filename)
-    p.expect_keyword("config")
-    p.expect("IDENT", "a configuration name")
-    p.expect("{")
-    raw: list[_RawComp] = []
-    spans: list[SourceSpan] = []
-    handles: set[str] = set()
-    while p.at_keyword("component"):
-        tok = p.peek()
-        comp = _parse_component(p)
-        if comp.handle in handles:
-            raise ParseError(
-                SourceSpan(p.filename, tok.line, tok.column),
-                "an unused component handle", f"'{comp.handle}'")
-        handles.add(comp.handle)
-        raw.append(comp)
-        spans.append(SourceSpan(p.filename, tok.line, tok.column))
+    p.take("config")
+    p.ident("a configuration name")
+    p.take("{")
+    ids: dict[str, ComponentId] = {}  # by handle
+    raw = []  # (index of 'component', id, children, files, depends) per component
+    while p.lex[p.i] == "component":
+        at = p.i
+        handle, cid, children, files, depends = _component(p)
+        if handle in ids:
+            raise ParseError(p.span(at), "an unused component handle", f"'{handle}'")
+        ids[handle] = cid
+        raw.append((at, cid, children, files, depends))
     if not raw:
         raise p.fail("'component'")
-    p.expect("}")
-    p.expect("EOF", "end of input")
+    p.take("}")
+    p.take("", "end of input")
 
-    by_handle = {c.handle: ComponentId(c.ctype, c.name, c.origin, c.version) for c in raw}
-
-    def resolve(handle: str) -> ComponentId:
+    def resolve(handles: list[str]) -> frozenset[ComponentId]:
         # Unknown handles become placeholder ids so validation can report
         # the closure violation instead of the parser guessing.
-        return by_handle.get(handle, ComponentId("?", handle, "?", 0))
+        return frozenset([ids.get(h) or ComponentId("?", h, "?", 0) for h in handles])
 
     components: list[Component] = []
-    for comp, span in zip(raw, spans):
-        deps = frozenset(resolve(h) for h in comp.depends)
+    for at, cid, children, files, depends in raw:
+        deps = resolve(depends)
         try:
-            if comp.children is not None:
-                built = Component.composite(
-                    by_handle[comp.handle],
-                    frozenset(resolve(h) for h in comp.children), deps)
+            if children is not None:
+                built = Component(cid, deps, children=resolve(children))
             else:
-                built = Component.leaf(by_handle[comp.handle], comp.files or (), deps)
+                built = Component(cid, deps, elements=frozenset(files))
         except ValueError as exc:
-            raise ParseError(span, "disjoint contains/depends lists", str(exc)) from exc
+            raise ParseError(p.span(at), "disjoint contains/depends lists", str(exc)) from exc
         components.append(built)
 
     config = Configuration(tuple(components))
@@ -627,12 +566,12 @@ def parse_config(text: str, filename: str = "<config>") -> Configuration:
 
 
 def kind_of(text: str, filename: str = "<input>") -> str:
-    """'spec' or 'config', judged by the leading keyword."""
-    tok = _tokenize(text, filename)[0]
-    if tok.kind == "IDENT" and tok.value in ("spec", "config"):
-        return tok.value
-    raise ParseError(SourceSpan(filename, tok.line, tok.column),
-                     "'spec' or 'config'", tok.describe())
+    """'spec' or 'config', judged by the leading keyword.  Only that lexeme
+    is read; the parse that follows reports any later lexical error."""
+    first = _lexer("").match(text, _LEADING.match(text).end())
+    if first and first.group(1) in ("spec", "config"):
+        return first.group(1)
+    raise _Parser(text, filename).fail("'spec' or 'config'")
 
 
 # --------------------------------------------------------------------------

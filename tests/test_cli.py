@@ -470,6 +470,21 @@ class TestDotCommand:
         _, out2, _ = run(capsys, "dot", str(ws / "psy2.cg"))
         assert out1 == out2
 
+    @pytest.mark.parametrize("name, text, error", [
+        ("bad.cg", 'config c {\n  component a : T ("a", "o", 1) files [] % ;\n}\n',
+         "2:42: expected a token, found '%'"),
+        ("bad.csg", "spec s {\n  node T { total: 0 . 0; }\n  root T;\n}\n",
+         "2:21: expected '..', found '.'"),
+    ], ids=["config", "spec"])
+    def test_a_lexical_error_after_the_keyword_exits_2(self, tmp_path, capsys, name, text, error):
+        # the kind is judged by the leading keyword alone; the parse that
+        # follows reports the later lexical error
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "dot", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:{error}\n"
+
     def test_json_payload(self, ws, capsys):
         code, out, _ = run(capsys, "dot", str(ws / "psy1.cg"), "--format", "json")
         assert code == 0

@@ -205,6 +205,35 @@ class TestConfigurationConditions:
             Violation("unreachable", (str(b),), f"{b} is not reachable from the root"),
         )
 
+    def test_undeclared_children_do_not_hide_a_detached_cycle(self):
+        # Three missing children reached from the root must not count as
+        # reachable members: the cycle a <-> b is still reported.
+        r = ComponentId("R", "r", "o", 1)
+        ghosts = [ComponentId("G", f"g{k}", "o", 1) for k in range(3)]
+        a, b = ComponentId("C", "a", "o", 1), ComponentId("C", "b", "o", 1)
+        report = validate_configuration([
+            Component.composite(r, ghosts), Component.composite(a, [b]),
+            Component.composite(b, [a]),
+        ])
+        assert conditions(report) == ["children-closure"] * 3 + ["unreachable"] * 2
+        assert [v.subjects[1] for v in report.violations[:3]] == [str(g) for g in ghosts]
+
+    def test_multiple_parents_are_sorted_by_child_then_parent(self):
+        # Children and parents are given against their sort order.
+        r = ComponentId("R", "r", "o", 1)
+        p, q = ComponentId("P", "p", "o", 1), ComponentId("P", "q", "o", 1)
+        x, y = ComponentId("L", "x", "o", 1), ComponentId("L", "y", "o", 1)
+        report = validate_configuration([
+            Component.composite(r, [q, p, y]), Component.composite(q, [y, x]),
+            Component.composite(p, [x, y]), Component.leaf(y), Component.leaf(x),
+        ])
+        assert report.violations == (
+            Violation("multiple-parents", (str(x), str(p), str(q)),
+                      f"{x} is contained in more than one component"),
+            Violation("multiple-parents", (str(y), str(p), str(q), str(r)),
+                      f"{y} is contained in more than one component"),
+        )
+
     @given(configurations())
     def test_generated_configurations_are_valid(self, cfg):
         assert validate_configuration(cfg).ok

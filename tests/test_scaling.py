@@ -1,11 +1,14 @@
-"""Scaling guard for the checking core, without a wall clock.
+"""Scaling guard for the checking core and the parsers, without a wall clock.
 
 Each core function is called on a root -> bins -> leaves configuration in
 which every leaf depends on one shared `Lib`, at n = 50 and at 4n = 200
-components.  The guard counts the Python and C function calls the call
-makes (`sys.setprofile` "call" and "c_call" events): linear work gives a
-ratio near 4 between the two sizes, quadratic work one near 16.  The ratio
-must stay below 6.
+components; `parse_config` reads that configuration's text.  A second
+shape, a root with k leaf children of k distinct ctypes, is checked at
+k = 200 and 4k = 800 against its inferred spec, whose text `parse_spec`
+reads.  The guard counts the Python and C function calls the call makes
+(`sys.setprofile` "call" and "c_call" events): linear work gives a ratio
+near 4 between the two sizes, quadratic work one near 16.  The ratio must
+stay below 6.
 """
 
 from __future__ import annotations
@@ -20,8 +23,12 @@ from confkit import (
     Configuration,
     compliant,
     config_leq,
+    direct_check,
     infer,
+    parse_config,
     parse_spec,
+    print_config,
+    print_spec,
     validate_configuration,
 )
 
@@ -76,6 +83,23 @@ CALLS = {
     "infer": lambda bins: (infer, tree(bins)),
     "config_leq": lambda bins: (config_leq, tree(bins), tree(bins, version=2)),
     "compliant": lambda bins: (compliant, tree(bins), SPEC),
+    "parse_config": lambda bins: (parse_config, print_config(tree(bins))),
+}
+
+SMALL_K, LARGE_K = 200, 800
+
+
+def many_ctypes(k: int) -> Configuration:
+    """A fresh root with k leaf children of k distinct ctypes."""
+    leaves = [ComponentId(f"T{j}", f"leaf{j}", "o", 1) for j in range(k)]
+    root = Component.composite(ComponentId("Root", "root", "o", 1), leaves)
+    return Configuration(tuple([Component.leaf(leaf) for leaf in leaves] + [root]))
+
+
+CTYPE_CALLS = {
+    "compliant": lambda k: (compliant, many_ctypes(k), infer(many_ctypes(k))),
+    "direct_check": lambda k: (direct_check, many_ctypes(k), infer(many_ctypes(k))),
+    "parse_spec": lambda k: (parse_spec, print_spec(infer(many_ctypes(k)))),
 }
 
 
@@ -89,3 +113,15 @@ def test_calls_grow_linearly(name):
     small, large = CALLS[name](SMALL_BINS), CALLS[name](LARGE_BINS)
     ratio = call_events(*large) / call_events(*small)
     assert ratio < MAX_RATIO, f"{name}: {ratio:.1f}x the calls for 4x the components"
+
+
+def test_many_ctypes_inputs_comply():
+    assert compliant(many_ctypes(SMALL_K), infer(many_ctypes(SMALL_K))).compliant
+    assert len(infer(many_ctypes(LARGE_K))) == LARGE_K + 1
+
+
+@pytest.mark.parametrize("name", sorted(CTYPE_CALLS))
+def test_calls_grow_linearly_in_distinct_ctypes(name):
+    small, large = CTYPE_CALLS[name](SMALL_K), CTYPE_CALLS[name](LARGE_K)
+    ratio = call_events(*large) / call_events(*small)
+    assert ratio < MAX_RATIO, f"{name}: {ratio:.1f}x the calls for 4x the ctypes"
