@@ -9,7 +9,7 @@ component identifiers built from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 INF: float = math.inf
@@ -27,19 +27,67 @@ def _check_nat(value: object, what: str) -> None:
         raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+# Sets a slot of a value under construction; the values refuse `setattr`.
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of confkit's immutable values.
+
+    A subclass names its fields in `__slots__` and sets each once in
+    `__init__`; slots named with a leading underscore hold caches and stay
+    out of equality, hashing, repr and `replace`.  Values of one class are
+    equal when their field tuples are, and hash as that tuple.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        get = attrgetter(*fields)
+        cls._astuple = staticmethod(get if len(fields) > 1 else lambda value: (get(value),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            astuple = self._astuple
+            return astuple(self) == astuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._astuple(self)
+
+    def replace(self, **changes: object):
+        """A copy of this value with the given fields changed."""
+        return self.__class__(**dict(zip(self._fields, self._astuple(self)), **changes))
+
+
+class Interval(_Value):
     """Closed count interval [lo, hi]; hi may be INF."""
 
-    lo: int
-    hi: NatInf
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        _check_nat(self.lo, "interval lower bound")
-        if self.hi != INF:
-            _check_nat(self.hi, "interval upper bound")
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: int, hi: NatInf) -> None:
+        _check_nat(lo, "interval lower bound")
+        if hi != INF:
+            _check_nat(hi, "interval upper bound")
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     def __add__(self, other: Interval) -> Interval:
         # INF absorbs: n + INF == INF
@@ -68,8 +116,7 @@ def sum_intervals(intervals: Iterable[Interval]) -> Interval:
     return total
 
 
-@dataclass(frozen=True, slots=True)
-class NameSet:
+class NameSet(_Value):
     """Names matched by a node: everything, literal names, or prefix families.
 
     A prefix entry ``p`` stands for every name starting with ``p``.  Values
@@ -78,28 +125,27 @@ class NameSet:
     compare equal.
     """
 
-    literals: frozenset[str] = frozenset()
-    prefixes: frozenset[str] = frozenset()
-    is_any: bool = False
+    __slots__ = ("literals", "prefixes", "is_any")
 
-    def __post_init__(self) -> None:
-        if self.is_any:
-            object.__setattr__(self, "literals", frozenset())
-            object.__setattr__(self, "prefixes", frozenset())
-            return
-        prefixes = frozenset(self.prefixes)
-        for p in prefixes:
-            if not p:
-                raise ValueError("prefix patterns must be non-empty")
-        keep = frozenset(
-            p for p in prefixes
-            if not any(p != q and p.startswith(q) for q in prefixes)
-        )
-        literals = frozenset(self.literals)
-        if keep:
-            literals = frozenset(n for n in literals if not any(n.startswith(q) for q in keep))
-        object.__setattr__(self, "literals", literals)
-        object.__setattr__(self, "prefixes", keep)
+    def __init__(self, literals: Iterable[str] = frozenset(), prefixes: Iterable[str] = frozenset(),
+                 is_any: bool = False) -> None:
+        if is_any:
+            literals = prefixes = frozenset()
+        else:
+            prefixes = frozenset(prefixes)
+            for p in prefixes:
+                if not p:
+                    raise ValueError("prefix patterns must be non-empty")
+            prefixes = frozenset(
+                p for p in prefixes
+                if not any(p != q and p.startswith(q) for q in prefixes)
+            )
+            literals = frozenset(literals)
+            if prefixes:
+                literals = frozenset(n for n in literals if not any(n.startswith(q) for q in prefixes))
+        _set(self, "literals", literals)
+        _set(self, "prefixes", prefixes)
+        _set(self, "is_any", is_any)
 
     @classmethod
     def everything(cls) -> NameSet:
@@ -130,18 +176,14 @@ class NameSet:
         return NameSet(self.literals | other.literals, self.prefixes | other.prefixes)
 
 
-@dataclass(frozen=True, slots=True)
-class OriginSet:
+class OriginSet(_Value):
     """Origins accepted by a node: everything or a finite set."""
 
-    values: frozenset[str] = frozenset()
-    is_any: bool = False
+    __slots__ = ("values", "is_any")
 
-    def __post_init__(self) -> None:
-        if self.is_any:
-            object.__setattr__(self, "values", frozenset())
-        else:
-            object.__setattr__(self, "values", frozenset(self.values))
+    def __init__(self, values: Iterable[str] = frozenset(), is_any: bool = False) -> None:
+        _set(self, "values", frozenset() if is_any else frozenset(values))
+        _set(self, "is_any", is_any)
 
     @classmethod
     def everything(cls) -> OriginSet:
@@ -167,8 +209,7 @@ class OriginSet:
         return OriginSet(self.values | other.values)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class VersionSet:
+class VersionSet(_Value):
     """Versions accepted by a node: a finite set or a closed/right-open span.
 
     "any" is the span 0..*.  Exactly one of ``values``/``span`` is set.
@@ -177,17 +218,17 @@ class VersionSet:
     a span falls back to the smallest enclosing span (an upper bound).
     """
 
-    values: frozenset[int] | None = None
-    span: Interval | None = None
+    __slots__ = ("values", "span")
 
-    def __post_init__(self) -> None:
-        if (self.values is None) == (self.span is None):
+    def __init__(self, values: Iterable[int] | None = None, span: Interval | None = None) -> None:
+        if (values is None) == (span is None):
             raise ValueError("exactly one of values/span must be given")
-        if self.values is not None:
-            values = frozenset(self.values)
+        if values is not None:
+            values = frozenset(values)
             for v in values:
                 _check_nat(v, "version")
-            object.__setattr__(self, "values", values)
+        _set(self, "values", values)
+        _set(self, "span", span)
 
     @classmethod
     def everything(cls) -> VersionSet:
@@ -262,20 +303,20 @@ class VersionSet:
         return VersionSet(span=Interval(lo, hi))
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentId:
+class ComponentId(_Value):
     """Concrete identifier: (ctype, name, origin, version)."""
 
-    ctype: str
-    name: str
-    origin: str
-    version: int
+    __slots__ = ("ctype", "name", "origin", "version")
 
-    def __post_init__(self) -> None:
-        for field_name in ("ctype", "name", "origin"):
-            if not getattr(self, field_name):
-                raise ValueError(f"component id {field_name} must be non-empty")
-        _check_nat(self.version, "version")
+    def __init__(self, ctype: str, name: str, origin: str, version: int) -> None:
+        if not (ctype and name and origin):
+            empty = "ctype" if not ctype else "name" if not name else "origin"
+            raise ValueError(f"component id {empty} must be non-empty")
+        _check_nat(version, "version")
+        _set(self, "ctype", ctype)
+        _set(self, "name", name)
+        _set(self, "origin", origin)
+        _set(self, "version", version)
 
     @property
     def sort_key(self) -> tuple[str, str, int, str]:
@@ -288,18 +329,20 @@ class ComponentId:
         return f"{self.ctype}({self.name}, {self.origin}, v{self.version})"
 
 
-@dataclass(frozen=True, slots=True)
-class AbstractComponentId:
+class AbstractComponentId(_Value):
     """A family of component identifiers of one ctype."""
 
-    ctype: str
-    names: NameSet = NameSet(is_any=True)
-    origins: OriginSet = OriginSet(is_any=True)
-    versions: VersionSet = VersionSet.everything()
+    __slots__ = ("ctype", "names", "origins", "versions")
 
-    def __post_init__(self) -> None:
-        if not self.ctype:
+    def __init__(self, ctype: str, names: NameSet = NameSet(is_any=True),
+                 origins: OriginSet = OriginSet(is_any=True),
+                 versions: VersionSet = VersionSet.everything()) -> None:
+        if not ctype:
             raise ValueError("ctype must be non-empty")
+        _set(self, "ctype", ctype)
+        _set(self, "names", names)
+        _set(self, "origins", origins)
+        _set(self, "versions", versions)
 
     def merge(self, other: AbstractComponentId) -> AbstractComponentId:
         if self.ctype != other.ctype:

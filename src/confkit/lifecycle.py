@@ -9,10 +9,9 @@ otherwise the operation raises and nothing is observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .algebra import ComponentId
+from .algebra import ComponentId, _set, _Value
 from .model import (
     Component,
     Configuration,
@@ -71,66 +70,64 @@ def _sorted_components(components: Iterable[Component]) -> tuple[Component, ...]
     return tuple(sorted(components, key=lambda c: c.sort_key))
 
 
-@dataclass(frozen=True, slots=True)
-class ExtendChange:
+class ExtendChange(_Value):
     """Add a forest of new components, attaching each fragment root to an
     existing composite."""
 
-    components: tuple[Component, ...]
-    attachments: tuple[tuple[ComponentId, ComponentId], ...]  # (new root, parent)
+    __slots__ = ("components", "attachments")  # attachments: (new root, parent) pairs
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", _sorted_components(self.components))
-        object.__setattr__(self, "attachments", tuple(sorted(
-            self.attachments, key=lambda p: (p[0].sort_key, p[1].sort_key))))
-        ids = [c.id for c in self.components]
+    def __init__(self, components: Iterable[Component],
+                 attachments: Iterable[tuple[ComponentId, ComponentId]]) -> None:
+        components = _sorted_components(components)
+        attachments = tuple(sorted(attachments, key=lambda p: (p[0].sort_key, p[1].sort_key)))
+        ids = [c.id for c in components]
         if len(ids) != len(set(ids)):
             raise ValueError("extend payload repeats a component id")
-        roots = [root for root, _ in self.attachments]
+        roots = [root for root, _ in attachments]
         if len(roots) != len(set(roots)):
             raise ValueError("extend payload attaches a component twice")
+        _set(self, "components", components)
+        _set(self, "attachments", attachments)
 
     @classmethod
     def of(cls, components: Iterable[Component], attachments: Mapping[ComponentId, ComponentId]) -> ExtendChange:
         return cls(tuple(components), tuple(attachments.items()))
 
 
-@dataclass(frozen=True, slots=True)
-class UpdateChange:
+class UpdateChange(_Value):
     """Replace components in place; references to the old ids are rewritten."""
 
-    replacements: tuple[tuple[ComponentId, Component], ...]  # (old id, new component)
+    __slots__ = ("replacements",)  # (old id, new component) pairs
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "replacements", tuple(sorted(
-            self.replacements, key=lambda p: p[0].sort_key)))
-        olds = [old for old, _ in self.replacements]
-        news = [new.id for _, new in self.replacements]
+    def __init__(self, replacements: Iterable[tuple[ComponentId, Component]]) -> None:
+        replacements = tuple(sorted(replacements, key=lambda p: p[0].sort_key))
+        olds = [old for old, _ in replacements]
+        news = [new.id for _, new in replacements]
         if len(olds) != len(set(olds)) or len(news) != len(set(news)):
             raise ValueError("update payload repeats a component id")
+        _set(self, "replacements", replacements)
 
     @classmethod
     def of(cls, replacements: Mapping[ComponentId, Component]) -> UpdateChange:
         return cls(tuple(replacements.items()))
 
 
-@dataclass(frozen=True, slots=True)
-class RemoveChange:
+class RemoveChange(_Value):
     """Remove components (each with its whole subtree)."""
 
-    ids: tuple[ComponentId, ...]
+    __slots__ = ("ids",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", _sorted_ids(self.ids))
-        if len(self.ids) != len(set(self.ids)):
+    def __init__(self, ids: Iterable[ComponentId]) -> None:
+        ids = _sorted_ids(ids)
+        if len(ids) != len(set(ids)):
             raise ValueError("remove payload repeats a component id")
+        _set(self, "ids", ids)
 
 
 ChangeSet = ExtendChange | UpdateChange | RemoveChange
 
 
-@dataclass(frozen=True, slots=True)
-class JournalEntry:
+class JournalEntry(_Value):
     """One accepted change and the change that reverts it.
 
     ``undoes`` marks a reversal entry: the seq of the entry it cancels.
@@ -138,10 +135,14 @@ class JournalEntry:
     walk back through the remaining open entries.
     """
 
-    change: ChangeSet
-    inverse: ChangeSet
-    seq: int = 0
-    undoes: int | None = None
+    __slots__ = ("change", "inverse", "seq", "undoes")
+
+    def __init__(self, change: ChangeSet, inverse: ChangeSet, seq: int = 0,
+                 undoes: int | None = None) -> None:
+        _set(self, "change", change)
+        _set(self, "inverse", inverse)
+        _set(self, "seq", seq)
+        _set(self, "undoes", undoes)
 
 
 def _gate(result: Configuration, spec: SpecSet, *, faithful_leaf_rule: bool, strict_lower_bounds: bool) -> None:

@@ -9,7 +9,6 @@ raises on bad input; it returns a report listing every violated condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -17,21 +16,28 @@ from .algebra import (
     AbstractComponentId,
     ComponentId,
     Interval,
+    _set,
+    _Value,
     sum_intervals,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
-    condition: str
-    subjects: tuple[str, ...]
-    message: str
-    severity: str = "error"
+class Violation(_Value):
+    __slots__ = ("condition", "subjects", "message", "severity")
+
+    def __init__(self, condition: str, subjects: tuple[str, ...], message: str,
+                 severity: str = "error") -> None:
+        _set(self, "condition", condition)
+        _set(self, "subjects", subjects)
+        _set(self, "message", message)
+        _set(self, "severity", severity)
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(_Value):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...] = ()) -> None:
+        _set(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -87,30 +93,32 @@ def _frozen(items: Iterable) -> frozenset:
     return frozenset(items) or _EMPTY
 
 
-@dataclass(frozen=True, slots=True)
-class Component:
+class Component(_Value):
     """One deployed component: identifier, dependencies, and payload.
 
     Leaves carry a set of file elements; composites carry the ids of their
     children.  Exactly one of the two is present.
     """
 
-    id: ComponentId
-    dependencies: frozenset[ComponentId] = frozenset()
-    elements: frozenset[str] | None = None
-    children: frozenset[ComponentId] | None = None
+    __slots__ = ("id", "dependencies", "elements", "children")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dependencies", _frozen(self.dependencies))
-        if (self.elements is None) == (self.children is None):
-            raise ValueError(f"{self.id}: exactly one of elements/children required")
-        if self.elements is not None:
-            object.__setattr__(self, "elements", _frozen(self.elements))
-        if self.children is not None:
-            object.__setattr__(self, "children", _frozen(self.children))
-            overlap = self.dependencies & self.children
+    def __init__(self, id: ComponentId, dependencies: Iterable[ComponentId] = _EMPTY,
+                 elements: Iterable[str] | None = None,
+                 children: Iterable[ComponentId] | None = None) -> None:
+        dependencies = _frozen(dependencies)
+        if (elements is None) == (children is None):
+            raise ValueError(f"{id}: exactly one of elements/children required")
+        if elements is not None:
+            elements = _frozen(elements)
+        else:
+            children = _frozen(children)
+            overlap = dependencies & children
             if overlap:
-                raise ValueError(f"{self.id}: dependencies overlap children: {sorted(str(i) for i in overlap)}")
+                raise ValueError(f"{id}: dependencies overlap children: {sorted(str(i) for i in overlap)}")
+        _set(self, "id", id)
+        _set(self, "dependencies", dependencies)
+        _set(self, "elements", elements)
+        _set(self, "children", children)
 
     @classmethod
     def leaf(cls, id: ComponentId, elements: Iterable[str] = (), dependencies: Iterable[ComponentId] = ()) -> Component:
@@ -134,16 +142,15 @@ class Component:
         return (self.id.sort_key, self.is_leaf, payload, tuple(sorted(d.sort_key for d in self.dependencies)))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Configuration:
+class Configuration(_Value):
     """A set of components.  Construction is lenient; see validate_configuration."""
 
-    components: tuple[Component, ...] = ()
-    # validate_configuration's report, kept on first use: the value is immutable
-    _report: ValidationReport | None = field(default=None, init=False, repr=False, compare=False)
+    # _report: validate_configuration's report, kept on first use: the value is immutable
+    __slots__ = ("components", "_report")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
+    def __init__(self, components: Iterable[Component] = ()) -> None:
+        _set(self, "components", tuple(components))
+        _set(self, "_report", None)
 
     def __iter__(self) -> Iterator[Component]:
         return iter(self.components)
@@ -169,35 +176,37 @@ class Configuration:
         return any(c.id == id for c in self.components)
 
 
-@dataclass(frozen=True, slots=True)
-class ChildSlot:
+class ChildSlot(_Value):
     """A child entry of a spec node: identifier family plus count bounds."""
 
-    aci: AbstractComponentId
-    count: Interval
+    __slots__ = ("aci", "count")
+
+    def __init__(self, aci: AbstractComponentId, count: Interval) -> None:
+        _set(self, "aci", aci)
+        _set(self, "count", count)
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentSpec:
+class ComponentSpec(_Value):
     """Spec node for one ctype: identity constraints, dependencies, children, total."""
 
-    aci: AbstractComponentId
-    dependencies: frozenset[AbstractComponentId] = frozenset()
-    children: frozenset[ChildSlot] = frozenset()
-    total: Interval = Interval(0, 0)
+    # _slots: the child slots by ctype, built with the value: it is immutable
+    __slots__ = ("aci", "dependencies", "children", "total", "_slots")
 
-    # the child slots by ctype, built with the value: it is immutable
-    _slots: dict[str, ChildSlot] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dependencies", frozenset(self.dependencies))
-        object.__setattr__(self, "children", frozenset(self.children))
+    def __init__(self, aci: AbstractComponentId,
+                 dependencies: Iterable[AbstractComponentId] = frozenset(),
+                 children: Iterable[ChildSlot] = frozenset(),
+                 total: Interval = Interval(0, 0)) -> None:
+        children = frozenset(children)
         slots: dict[str, ChildSlot] = {}
-        for slot in self.children:
+        for slot in children:
             if slot.aci.ctype in slots:
-                raise ValueError(f"{self.ctype}: more than one child slot of ctype {slot.aci.ctype}")
+                raise ValueError(f"{aci.ctype}: more than one child slot of ctype {slot.aci.ctype}")
             slots[slot.aci.ctype] = slot
-        object.__setattr__(self, "_slots", slots)
+        _set(self, "aci", aci)
+        _set(self, "dependencies", frozenset(dependencies))
+        _set(self, "children", children)
+        _set(self, "total", total)
+        _set(self, "_slots", slots)
 
     @property
     def ctype(self) -> str:
@@ -211,28 +220,27 @@ class ComponentSpec:
         return frozenset(self._slots)
 
 
-@dataclass(frozen=True, slots=True)
-class SpecSet:
+class SpecSet(_Value):
     """A set of spec nodes, at most one per ctype.
 
     Inference produces these; they are not required to satisfy the structural
     conditions a full configuration spec must meet (see validate_spec).
     """
 
-    specs: frozenset[ComponentSpec] = frozenset()
-    # validate_spec's report, kept on first use: the value is immutable
-    _report: ValidationReport | None = field(default=None, init=False, repr=False, compare=False)
-    # the nodes by ctype, built with the value
-    _nodes: dict[str, ComponentSpec] = field(default=None, init=False, repr=False, compare=False)
+    # _report: validate_spec's report, kept on first use: the value is immutable
+    # _nodes: the nodes by ctype, built with the value
+    __slots__ = ("specs", "_report", "_nodes")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "specs", frozenset(self.specs))
+    def __init__(self, specs: Iterable[ComponentSpec] = frozenset()) -> None:
+        specs = frozenset(specs)
         nodes: dict[str, ComponentSpec] = {}
-        for cs in self.specs:
+        for cs in specs:
             if cs.ctype in nodes:
                 raise ValueError(f"more than one spec node of ctype {cs.ctype}")
             nodes[cs.ctype] = cs
-        object.__setattr__(self, "_nodes", nodes)
+        _set(self, "specs", specs)
+        _set(self, "_report", None)
+        _set(self, "_nodes", nodes)
 
     def __iter__(self) -> Iterator[ComponentSpec]:
         return iter(self.specs)
@@ -329,7 +337,7 @@ def validate_configuration(config: Configuration | Iterable[Component]) -> Valid
 
     report = ValidationReport(tuple(violations))
     if isinstance(config, Configuration):
-        object.__setattr__(config, "_report", report)
+        _set(config, "_report", report)
     return report
 
 
@@ -350,8 +358,12 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
 
     acis = {cs.aci for cs in nodes}
     by_type: dict[str, ComponentSpec] = {}
+    # `<=` holds only within one ctype, so a dependency is compared with
+    # the identifier families of its own ctype
+    families: dict[str, list[AbstractComponentId]] = {}
     for cs in nodes:
         by_type.setdefault(cs.ctype, cs)
+        families.setdefault(cs.ctype, []).append(cs.aci)
 
     for cs in sorted(nodes, key=lambda cs: cs.ctype):
         for slot in sorted(cs.children, key=lambda s: s.aci.ctype):
@@ -367,7 +379,7 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
                     "duplicate-dependency-type", (cs.ctype, dep.ctype),
                     f"{cs.ctype} has more than one dependency entry of ctype {dep.ctype}"))
             dep_types.add(dep.ctype)
-            if not any(dep <= aci for aci in acis):
+            if not any(dep <= aci for aci in families.get(dep.ctype, ())):
                 violations.append(Violation(
                     "dependency-coverage", (cs.ctype, dep.ctype),
                     f"{cs.ctype} depends on {dep.ctype} identifiers "
@@ -420,7 +432,7 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
 
     report = ValidationReport(tuple(violations))
     if isinstance(spec, SpecSet):
-        object.__setattr__(spec, "_report", report)
+        _set(spec, "_report", report)
     return report
 
 

@@ -15,12 +15,10 @@ error.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .algebra import (
     INF,
@@ -30,6 +28,8 @@ from .algebra import (
     NameSet,
     OriginSet,
     VersionSet,
+    _set,
+    _Value,
     sum_intervals,
 )
 from .lifecycle import (
@@ -62,11 +62,13 @@ CONFIG_KEYWORDS = frozenset({"config", "component", "contains", "files", "depend
 _RESERVED = SPEC_KEYWORDS | CONFIG_KEYWORDS
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
-    file: str
-    line: int
-    column: int
+class SourceSpan(_Value):
+    __slots__ = ("file", "line", "column")
+
+    def __init__(self, file: str, line: int, column: int) -> None:
+        _set(self, "file", file)
+        _set(self, "line", line)
+        _set(self, "column", column)
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
@@ -323,13 +325,17 @@ class _Parser:
 # --------------------------------------------------------------------------
 # Spec files
 
-@dataclass(slots=True)
 class _RawNode:
-    ctype: str
-    identity: dict[str, object]  # the constrained AbstractComponentId fields
-    total: Interval | None
-    contains: dict[str, Interval]  # by child type
-    depends: dict[str, dict[str, object]]  # constrained fields by dependency type
+    """A spec node as read, before its identifier families are resolved."""
+
+    __slots__ = ("ctype", "identity", "total", "contains", "depends")
+
+    def __init__(self, ctype: str) -> None:
+        self.ctype = ctype
+        self.identity: dict[str, object] = {}  # the constrained AbstractComponentId fields
+        self.total: Interval | None = None
+        self.contains: dict[str, Interval] = {}  # by child type
+        self.depends: dict[str, dict[str, object]] = {}  # constrained fields by dependency type
 
 
 # field word -> (AbstractComponentId field, value production)
@@ -357,7 +363,7 @@ def _parse_dep_constraints(p: _Parser) -> dict[str, object]:
 
 def _parse_node(p: _Parser) -> _RawNode:
     p.take("node")
-    node = _RawNode(p.ident("a node type"), {}, None, {}, {})
+    node = _RawNode(p.ident("a node type"))
     p.take("{")
     seen: set[str] = set()
     while p.lex[p.i] != "}":
@@ -420,7 +426,7 @@ def _build_spec_nodes(raw: list[_RawNode]) -> list[ComponentSpec]:
     for node, aci in zip(raw, own):
         slots = [ChildSlot(acis.get(t) or AbstractComponentId(t), count)
                  for t, count in node.contains.items()]
-        deps = [dataclasses.replace(acis.get(t) or AbstractComponentId(t), **constraints)
+        deps = [(acis.get(t) or AbstractComponentId(t)).replace(**constraints)
                 for t, constraints in node.depends.items()]
         total = node.total
         if total is None:
@@ -585,7 +591,7 @@ def _sanitize(name: str) -> str:
     out = "".join(c if c.isalnum() or c == "_" else "_" for c in name)
     if not out:
         out = "c"
-    if out[0].isdigit():
+    if not _is_ident(out):
         out = "_" + out
     while out in _RESERVED:
         out += "_"

@@ -10,9 +10,7 @@ in the newer one at the same or a later version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import ComponentId, Interval, merge_identifiers
+from .algebra import ComponentId, Interval, _set, _Value, merge_identifiers
 from .model import (
     ComponentSpec,
     Configuration,
@@ -24,33 +22,41 @@ from .model import (
 from .inference import infer
 
 
-@dataclass(frozen=True, slots=True)
-class ComplianceFailure:
-    subject: str
-    clause: str
-    detail: str
+class ComplianceFailure(_Value):
+    __slots__ = ("subject", "clause", "detail")
+
+    def __init__(self, subject: str, clause: str, detail: str) -> None:
+        _set(self, "subject", subject)
+        _set(self, "clause", clause)
+        _set(self, "detail", detail)
 
 
-@dataclass(frozen=True, slots=True)
-class ComplianceVerdict:
-    compliant: bool
-    failures: tuple[ComplianceFailure, ...] = ()
+class ComplianceVerdict(_Value):
+    __slots__ = ("compliant", "failures")
+
+    def __init__(self, compliant: bool, failures: tuple[ComplianceFailure, ...] = ()) -> None:
+        _set(self, "compliant", compliant)
+        _set(self, "failures", failures)
 
     @classmethod
     def from_failures(cls, failures: list[ComplianceFailure]) -> ComplianceVerdict:
         return cls(compliant=not failures, failures=tuple(failures))
 
 
-@dataclass(frozen=True, slots=True)
-class CompatReason:
-    subject: str
-    cause: str
+class CompatReason(_Value):
+    __slots__ = ("subject", "cause")
+
+    def __init__(self, subject: str, cause: str) -> None:
+        _set(self, "subject", subject)
+        _set(self, "cause", cause)
 
 
-@dataclass(frozen=True, slots=True)
-class CompatVerdict:
-    compatible: bool
-    reasons: tuple[CompatReason, ...] = ()
+class CompatVerdict(_Value):
+    __slots__ = ("compatible", "reasons")
+
+    def __init__(self, compatible: bool, reasons: tuple[CompatReason, ...] = ()) -> None:
+        _set(self, "compatible", compatible)
+        _set(self, "reasons", reasons)
 
 
 def ctype_order(config: Configuration) -> list[str]:
@@ -214,11 +220,17 @@ def direct_check(
             continue
 
         # Per child ctype: every member contributes its count (leaves count 0),
-        # so one childless member widens the group's lower bound to 0.
-        child_types = sorted({child.ctype for c in members for child in c.child_ids})
-        for child_type in child_types:
-            counts = [len([i for i in c.child_ids if i.ctype == child_type]) for c in members]
-            ids = [i for c in members for i in c.child_ids if i.ctype == child_type]
+        # so one member without such children widens the group's lower bound to 0.
+        counts: dict[str, list[int]] = {}
+        ids_of: dict[str, list[ComponentId]] = {}
+        for c in members:
+            own: dict[str, list[ComponentId]] = {}
+            for child in c.child_ids:
+                own.setdefault(child.ctype, []).append(child)
+            for child_type, ids in own.items():
+                counts.setdefault(child_type, []).append(len(ids))
+                ids_of.setdefault(child_type, []).extend(ids)
+        for child_type in sorted(counts):
             slot = node.slot_for(child_type)
             if slot is None:
                 failures.append(ComplianceFailure(
@@ -226,13 +238,14 @@ def direct_check(
                     f"{ctype} contains {child_type}, which has no child slot"))
                 failed = True
                 break
-            if not all(i in slot.aci for i in ids):
+            if not all(i in slot.aci for i in ids_of[child_type]):
                 failures.append(ComplianceFailure(
                     ctype, "child-identifier",
                     f"{ctype} children of ctype {child_type} do not all match the slot"))
                 failed = True
                 break
-            group = Interval(min(counts), max(counts))
+            n = counts[child_type]
+            group = Interval(min(n) if len(n) == len(members) else 0, max(n))
             if not group.included_in(slot.count):
                 failures.append(ComplianceFailure(
                     ctype, "child-interval",
@@ -251,9 +264,8 @@ def direct_check(
             continue
 
         if strict_lower_bounds:
-            present = {child.ctype for c in members for child in c.child_ids}
             for slot in sorted(node.children, key=lambda s: s.aci.ctype):
-                if slot.count.lo >= 1 and slot.aci.ctype not in present:
+                if slot.count.lo >= 1 and slot.aci.ctype not in counts:
                     failures.append(ComplianceFailure(
                         ctype, "missing-required-child",
                         f"{ctype} never contains {slot.aci.ctype}, "

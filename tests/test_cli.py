@@ -3,14 +3,20 @@
 Every test drives ``main(argv)`` directly and asserts on the returned exit
 code and the captured stdout/stderr, so the full contract — exit codes,
 text lines, JSON payloads, file writes, and the journal — is pinned down.
+The last test imports the CLI in a fresh interpreter to check what start-up
+loads.
 """
 from __future__ import annotations
 
 import json
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import confkit
 from confkit.cli import main
 from confkit.textfmt import check_spec_text, parse_config, parse_journal, parse_spec
 
@@ -549,3 +555,16 @@ class TestUsage:
 
     def test_compat_requires_spec(self, ws, capsys):
         assert run(capsys, "compat", str(ws / "psy1.cg"), str(ws / "psy2.cg"))[0] == 2
+
+
+def test_cli_import_generates_no_code():
+    """A fresh `import confkit.cli`, without `site`, pulls in neither
+    `dataclasses` nor `inspect`: the value classes are written out, so no
+    class source is generated and compiled at start-up."""
+    src = str(Path(confkit.__file__).resolve().parent.parent)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import confkit.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

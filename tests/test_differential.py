@@ -8,7 +8,6 @@ algorithm it replaced, kept in this file as the reference.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from functools import reduce
 
@@ -83,7 +82,7 @@ def reference_stand_in_reasons(a: Configuration, b: Configuration, relaxed: bool
         if stands_in(ca.id):
             continue
         # version 0 is older than every counterpart: is there one at all?
-        older = stands_in(dataclasses.replace(ca.id, version=0))
+        older = stands_in(ca.id.replace(version=0))
         reasons.append(CompatReason(str(ca.id), "version-regression" if older else "no-counterpart"))
     return reasons
 
@@ -136,7 +135,7 @@ def random_successor(rng: random.Random, a: Configuration) -> Configuration:
         version = max(0, ci.version + rng.choice((-1, 0, 0, 1)))
         new = ComponentId(ci.ctype, name, ci.origin, version)
         while new in taken:
-            new = dataclasses.replace(new, version=new.version + 4)
+            new = new.replace(version=new.version + 4)
         taken.add(new)
         rename[ci] = new
     dropped = {c.id for c in a if c.is_leaf and rng.random() < 0.2}
@@ -257,7 +256,7 @@ def test_lift_equals_merging_singleton_families():
     rng = random.Random(20104)
     for _ in range(500):
         ctype = rng.choice(CTYPES)
-        ids = [dataclasses.replace(random_id(rng), ctype=ctype) for _ in range(rng.randint(1, 8))]
+        ids = [random_id(rng).replace(ctype=ctype) for _ in range(rng.randint(1, 8))]
         assert same_representation(
             lift_identifiers(ids), reference_merge(ci.to_abstract() for ci in ids))
     with pytest.raises(TypeMismatch):

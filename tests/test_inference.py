@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -64,7 +62,7 @@ class TestGoldenInference:
                        "App": Interval(1, 1), "MLib": Interval(1, 1),
                        "GLib": Interval(1, 1)}
         expected = SpecSet(frozenset(
-            dataclasses.replace(cs, total=leaf_totals.get(cs.ctype, cs.total))
+            cs.replace(total=leaf_totals.get(cs.ctype, cs.total))
             for cs in build_inferred_psy2()
         ))
         assert infer(psy2, faithful_leaf_rule=True) == expected
@@ -123,8 +121,8 @@ class TestUnify:
         assert unify(a, b) == SpecSet(frozenset({leaf_node("A"), leaf_node("B")}))
 
     def test_totals_add(self):
-        a = SpecSet(frozenset({dataclasses.replace(leaf_node("A"), total=Interval(1, 2))}))
-        b = SpecSet(frozenset({dataclasses.replace(leaf_node("A"), total=Interval(3, 3))}))
+        a = SpecSet(frozenset({leaf_node("A").replace(total=Interval(1, 2))}))
+        b = SpecSet(frozenset({leaf_node("A").replace(total=Interval(3, 3))}))
         [node] = unify(a, b)
         assert node.total == Interval(4, 5)
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,10 +244,10 @@ class TestUndoMismatch:
 
     def test_undo_refuses_to_produce_invalid_configurations(self, psy1):
         dangling = Component.composite(
-            dataclasses.replace(DEF_PSC, version=9),
+            DEF_PSC.replace(version=9),
             {ComponentId("GLib", "ghost.so", IMSK, 1)})
         entry = JournalEntry(
-            change=UpdateChange.of({dataclasses.replace(DEF_PSC, version=9): Component.leaf(DEF_PSC)}),
+            change=UpdateChange.of({DEF_PSC.replace(version=9): Component.leaf(DEF_PSC)}),
             inverse=UpdateChange.of({DEF_PSC: dangling}),
         )
         with pytest.raises(JournalMismatch):
@@ -290,9 +288,9 @@ class TestRoundTripProperties:
         spec = widened_spec_for(cfg)
         target = data.draw(st.sampled_from(sorted(
             (c.id for c in cfg), key=lambda i: i.sort_key)))
-        bumped = dataclasses.replace(target, version=target.version + 10)
+        bumped = target.replace(version=target.version + 10)
         old = cfg.by_id()[target]
-        replacement = dataclasses.replace(old, id=bumped)
+        replacement = old.replace(id=bumped)
         stepped, entry = update(cfg, UpdateChange.of({target: replacement}), spec)
         assert bumped in stepped
         assert target not in stepped

@@ -3,8 +3,6 @@ well-formedness conditions."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given
 
@@ -49,14 +47,14 @@ def conditions(report) -> list[str]:
 
 def replace_component(config: Configuration, cid: ComponentId, **changes) -> list[Component]:
     return [
-        dataclasses.replace(c, **changes) if c.id == cid else c
+        c.replace(**changes) if c.id == cid else c
         for c in config.components
     ]
 
 
 def replace_node(spec, ctype: str, **changes) -> list[ComponentSpec]:
     return [
-        dataclasses.replace(cs, **changes) if cs.ctype == ctype else cs
+        cs.replace(**changes) if cs.ctype == ctype else cs
         for cs in spec.sorted_specs()
     ]
 
@@ -400,6 +398,16 @@ class TestValidationMemo:
         assert validate_spec(nodes) == validate_spec(cs_psycho)
         assert validate_configuration(components) is not validate_configuration(components)
         assert not validate_configuration(components[1:]).ok
+
+    def test_replace_builds_a_new_value_that_is_checked_again(self, psy1):
+        assert validate_configuration(psy1).ok
+        broken = psy1.replace(components=[c for c in psy1 if c.id != GLIB1])
+        assert broken == Configuration(tuple(c for c in psy1 if c.id != GLIB1))
+        assert not validate_configuration(broken).ok and validate_configuration(psy1).ok
+        with pytest.raises(ValueError):
+            BIN1.replace(version=-1)
+        with pytest.raises(ValueError):
+            next(c for c in psy1 if c.is_leaf).replace(elements=None)
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,13 @@ reads.  The guard counts the Python and C function calls the call makes
 (`sys.setprofile` "call" and "c_call" events): linear work gives a ratio
 near 4 between the two sizes, quadratic work one near 16.  The ratio must
 stay below 6.
+
+A comprehension or generator that scans a list is one call however many
+items it visits, so scans nested in a per-ctype loop can hide from the call
+count.  The line-event guards count the lines the interpreter executes
+(`sys.settrace` "line" events), each iteration included: `direct_check` on
+the k-ctype shape, and `validate_spec` on k leaf nodes that each depend on
+one `Lib`.
 """
 
 from __future__ import annotations
@@ -18,9 +25,13 @@ import sys
 import pytest
 
 from confkit import (
+    AbstractComponentId,
+    ChildSlot,
     Component,
     ComponentId,
+    ComponentSpec,
     Configuration,
+    Interval,
     compliant,
     config_leq,
     direct_check,
@@ -30,6 +41,7 @@ from confkit import (
     print_config,
     print_spec,
     validate_configuration,
+    validate_spec,
 )
 
 LEAVES_PER_BIN = 5
@@ -75,6 +87,24 @@ def call_events(fn, *args, **kwargs) -> int:
         fn(*args, **kwargs)
     finally:
         sys.setprofile(previous)
+    return count
+
+
+def line_events(fn, *args, **kwargs) -> int:
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.settrace(previous)
     return count
 
 
@@ -125,3 +155,30 @@ def test_calls_grow_linearly_in_distinct_ctypes(name):
     small, large = CTYPE_CALLS[name](SMALL_K), CTYPE_CALLS[name](LARGE_K)
     ratio = call_events(*large) / call_events(*small)
     assert ratio < MAX_RATIO, f"{name}: {ratio:.1f}x the calls for 4x the ctypes"
+
+
+def dependent_leaves(k: int) -> list[ComponentSpec]:
+    """Spec nodes, not yet validated: a root with k leaf children of k
+    distinct ctypes, each leaf depending on one shared `Lib`."""
+    lib = AbstractComponentId("Lib")
+    leaves = [ComponentSpec(AbstractComponentId(f"T{j}"), dependencies=[lib]) for j in range(k)]
+    slots = [ChildSlot(node.aci, Interval(1, 1)) for node in leaves] + [ChildSlot(lib, Interval(1, 1))]
+    root = ComponentSpec(AbstractComponentId("Root"), children=slots, total=Interval(k + 1, k + 1))
+    return leaves + [root, ComponentSpec(lib)]
+
+
+LINE_CALLS = {
+    "direct_check": lambda k: (direct_check, many_ctypes(k), infer(many_ctypes(k))),
+    "validate_spec": lambda k: (validate_spec, dependent_leaves(k)),
+}
+
+
+def test_dependent_leaves_form_a_valid_spec():
+    assert validate_spec(dependent_leaves(SMALL_K)).violations == ()
+
+
+@pytest.mark.parametrize("name", sorted(LINE_CALLS))
+def test_lines_grow_linearly_in_distinct_ctypes(name):
+    small, large = LINE_CALLS[name](SMALL_K), LINE_CALLS[name](LARGE_K)
+    ratio = line_events(*large) / line_events(*small)
+    assert ratio < MAX_RATIO, f"{name}: {ratio:.1f}x the lines for 4x the ctypes"

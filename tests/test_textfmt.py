@@ -398,6 +398,16 @@ class TestPrinting:
         assert "component _9lives :" in text
         assert parse_config(text) == cfg
 
+    def test_names_starting_with_a_non_letter_numeric_round_trip(self):
+        # '½' is alphanumeric, so a handle keeps it, but it is neither a
+        # digit nor a letter, so no lexeme starts with it: the handle gets a '_'
+        r = ComponentId("R", "r", "o", 1)
+        half = ComponentId("T", "½x", "o", 1)
+        cfg = Configuration((Component.composite(r, {half}), Component.leaf(half)))
+        text = print_config(cfg)
+        assert "component _½x :" in text
+        assert parse_config(text) == cfg
+
     def test_string_escapes_round_trip(self):
         tricky = ComponentId("T", 'sa"y \\ hi', "o", 1)
         cfg = Configuration((Component.leaf(tricky, ['we"ird\\file']),))

@@ -3,7 +3,6 @@ compatibility."""
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -55,8 +54,7 @@ def remap_id(config: Configuration, old: ComponentId, new: ComponentId) -> Confi
 
     out = []
     for c in config:
-        out.append(dataclasses.replace(
-            c,
+        out.append(c.replace(
             id=new if c.id == old else c.id,
             dependencies=swap(c.dependencies),
             children=swap(c.children) if c.children is not None else None,
@@ -68,7 +66,7 @@ def with_extra(config: Configuration, parent: ComponentId, extra: Component) -> 
     out = []
     for c in config:
         if c.id == parent:
-            c = dataclasses.replace(c, children=c.children | {extra.id})
+            c = c.replace(children=c.children | {extra.id})
         out.append(c)
     out.append(extra)
     return Configuration(tuple(out))
@@ -87,7 +85,7 @@ def with_random_dependencies(config: Configuration, rnd: random.Random) -> Confi
             deps = rnd.sample(pool, rnd.randint(0, len(pool)))
         else:
             deps = rnd.sample(candidates, 1) if rnd.random() < 0.05 else []
-        out.append(dataclasses.replace(c, dependencies=frozenset(deps)))
+        out.append(c.replace(dependencies=frozenset(deps)))
     return Configuration(tuple(out))
 
 
@@ -166,7 +164,7 @@ class TestCompliance:
 
     def test_missing_script_breaks_the_root_total(self, psy1, cs_psycho):
         without = Configuration(tuple(
-            dataclasses.replace(c, children=c.children - {DEF_PSC}) if c.id == PSY1 else c
+            c.replace(children=c.children - {DEF_PSC}) if c.id == PSY1 else c
             for c in psy1 if c.id != DEF_PSC))
         verdict = compliant(without, cs_psycho)
         assert not verdict.compliant
@@ -174,13 +172,13 @@ class TestCompliance:
         assert verdict.failures[0].detail == "Psycho contains 1..1 children, allowed 2..*"
 
     def test_identifier_clause(self, psy1, cs_psycho):
-        renamed = remap_id(psy1, BIN1, dataclasses.replace(BIN1, name="zin1"))
+        renamed = remap_id(psy1, BIN1, BIN1.replace(name="zin1"))
         verdict = compliant(renamed, cs_psycho)
         assert clauses(verdict) == [("Psycho", "child-identifier"), ("Bin", "identifier")]
 
     def test_dependency_clause(self, psy2, cs_psycho):
         mutated = Configuration(tuple(
-            dataclasses.replace(c, dependencies=frozenset({JULIB, APP2})) if c.id == MY_PSC else c
+            c.replace(dependencies=frozenset({JULIB, APP2})) if c.id == MY_PSC else c
             for c in psy2))
         verdict = compliant(mutated, cs_psycho)
         assert clauses(verdict) == [("PScr", "dependencies")]
@@ -249,7 +247,7 @@ class TestCompliance:
         # against the authored spec and against one whose PScr node admits
         # only PScr dependencies at version 1.
         narrowed = SpecSet(frozenset(
-            dataclasses.replace(cs, dependencies=frozenset({
+            cs.replace(dependencies=frozenset({
                 AbstractComponentId("PScr", versions=VersionSet.of(1)), ACI_CGLIB}))
             if cs.ctype == "PScr" else cs
             for cs in cs_psycho))
@@ -282,11 +280,11 @@ class TestDirectCheckAgreement:
 
     def test_agreement_on_mutants(self, psy1, psy2, cs_psycho):
         without_script = Configuration(tuple(
-            dataclasses.replace(c, children=c.children - {DEF_PSC}) if c.id == PSY1 else c
+            c.replace(children=c.children - {DEF_PSC}) if c.id == PSY1 else c
             for c in psy1 if c.id != DEF_PSC))
-        renamed = remap_id(psy1, BIN1, dataclasses.replace(BIN1, name="zin1"))
+        renamed = remap_id(psy1, BIN1, BIN1.replace(name="zin1"))
         bad_dep = Configuration(tuple(
-            dataclasses.replace(c, dependencies=frozenset({JULIB, APP2})) if c.id == MY_PSC else c
+            c.replace(dependencies=frozenset({JULIB, APP2})) if c.id == MY_PSC else c
             for c in psy2))
         psycho_id = next(c.id for c in psy2 if c.id.ctype == "Psycho")
         with_doc = with_extra(psy2, psycho_id, Component.leaf(ComponentId("Doc", "readme", IMSK, 1)))
@@ -317,11 +315,11 @@ class TestCiCompat:
     def test_goldens(self):
         a = ComponentId("T", "n", "o", 1)
         assert ci_compat_leq(a, a)
-        assert ci_compat_leq(a, dataclasses.replace(a, version=2))
-        assert not ci_compat_leq(dataclasses.replace(a, version=2), a)
-        assert not ci_compat_leq(a, dataclasses.replace(a, origin="other"))
-        assert not ci_compat_leq(a, dataclasses.replace(a, ctype="U"))
-        renamed = dataclasses.replace(a, name="m")
+        assert ci_compat_leq(a, a.replace(version=2))
+        assert not ci_compat_leq(a.replace(version=2), a)
+        assert not ci_compat_leq(a, a.replace(origin="other"))
+        assert not ci_compat_leq(a, a.replace(ctype="U"))
+        renamed = a.replace(name="m")
         assert not ci_compat_leq(a, renamed)  # leaves keep their name
         assert ci_compat_leq(a, renamed, composite_a=True)
         assert not ci_compat_leq(a, renamed, composite_a=True, relaxed=False)
