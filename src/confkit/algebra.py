@@ -36,15 +36,18 @@ class _Value:
 
     A subclass names its fields in `__slots__` and sets each once in
     `__init__`; slots named with a leading underscore hold caches and stay
-    out of equality, hashing, repr and `replace`.  Values of one class are
-    equal when their field tuples are, and hash as that tuple.
+    out of equality, hashing, repr and `replace`.  A subclass of a value
+    class has the fields of its parents first, then its own.  Values of one
+    class are equal when their field tuples are, and hash as that tuple.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        cls._fields = fields = tuple(f for c in reversed(cls.__mro__)
+                                     for f in c.__dict__.get("__slots__", ())
+                                     if not f.startswith("_"))
         get = attrgetter(*fields)
         cls._astuple = staticmethod(get if len(fields) > 1 else lambda value: (get(value),))
 

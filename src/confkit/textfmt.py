@@ -10,7 +10,8 @@ One compiled master pattern cuts a text into lexemes with `re.findall`, and
 the parsers walk the resulting list of strings by index.  Lines and columns
 are computed only when a ParseError is built.  The whole text is lexed
 before the grammar runs, so a lexical error is reported before any grammar
-error.
+error.  A configuration text in ASCII is first read with one match per
+`component` production; the lexeme parser reads any text that fails there.
 """
 
 from __future__ import annotations
@@ -519,8 +520,96 @@ def _component(p: _Parser) -> tuple[str, ComponentId, list[str] | None, list[str
     return handle, ComponentId(ctype, name, origin, version), children, files, depends
 
 
+def _assemble(ids: dict[str, ComponentId], raw: list, p: _Parser | None) -> tuple[Configuration | None, ValidationReport]:
+    """Resolve the handles of the raw entries (lexeme index, id, children,
+    files, depends), build the components and validate.  Overlapping lists
+    raise a ParseError at that lexeme with `p`, else the ValueError."""
+    def resolve(handles: list[str]) -> frozenset[ComponentId]:
+        # Unknown handles become placeholder ids so validation can report
+        # the closure violation instead of the parser guessing.
+        return frozenset([ids.get(h) or ComponentId("?", h, "?", 0) for h in handles])
+
+    components: list[Component] = []
+    for at, cid, children, files, depends in raw:
+        deps = resolve(depends)
+        try:
+            if children is not None:
+                built = Component(cid, deps, children=resolve(children))
+            else:
+                built = Component(cid, deps, elements=frozenset(files))
+        except ValueError as exc:
+            if p is None:
+                raise
+            raise ParseError(p.span(at), "disjoint contains/depends lists", str(exc)) from exc
+        components.append(built)
+
+    config = Configuration(tuple(components))
+    report = validate_configuration(config)
+    if not report.ok:
+        return None, report
+    return config, report
+
+
+@functools.cache
+def _productions() -> tuple[re.Pattern[str], re.Pattern[str], re.Pattern[str]]:
+    """Compiled on the first configuration read: the `config NAME {` header,
+    a `component` production (handle, type, name, origin, version, children,
+    files, dependencies in groups 1-8) and a string.  On ASCII text they
+    match the lexemes the lexeme parser reads: blanks are the only
+    separators, so a comment stops a match, and `\\b` ends a keyword."""
+    s = r"[ \t\r\n]*"
+    ident = r"[A-Za-z_]\w*"
+    string = f'"{_STRING_BODY}"'
+    # a list: each item followed by ',' or by the closing ']'
+    idents = rf"\[{s}((?:{ident}{s}(?:,{s}|(?=\])))*)\]"
+    strings = rf"\[{s}((?:{string}{s}(?:,{s}|(?=\])))*)\]"
+    return (re.compile(rf"{s}config\b{s}{ident}{s}\{{{s}"),
+            re.compile(rf"component\b{s}({ident}){s}:{s}({ident}){s}\({s}({string}){s},{s}"
+                       rf"({string}){s},{s}([0-9]+){s}\){s}"
+                       rf"(?:contains{s}{idents}|files{s}{strings}){s}"
+                       rf"(?:depends{s}{idents}{s})?;{s}"),
+            re.compile(string))
+
+
+def _read_productions(text: str) -> tuple[dict[str, ComponentId], list] | None:
+    """The ids by handle and the raw entries of a configuration text, read
+    one production at a time; None for a text that is not ASCII, repeats a
+    handle or is not matched from end to end.  A `""` name or origin, or a
+    version int() does not convert, raises ValueError."""
+    if not text.isascii():
+        return None
+    header, production, string = _productions()
+    m = header.match(text)
+    if m is None:
+        return None
+    pos = m.end()
+    ids: dict[str, ComponentId] = {}
+    raw = []
+    while (m := production.match(text, pos)) is not None:
+        handle, ctype, name, origin, version, children, files, depends = m.groups()
+        if handle in ids:
+            return None
+        ids[handle] = cid = ComponentId(ctype, _unquote(name), _unquote(origin), int(version))
+        raw.append((0, cid, None if children is None else children.replace(",", " ").split(),
+                    None if files is None else [_unquote(f) for f in string.findall(files)],
+                    (depends or "").replace(",", " ").split()))
+        pos = m.end()
+    if not raw or text[pos:].rstrip(" \t\r\n") != "}":
+        return None
+    return ids, raw
+
+
 def check_config_text(text: str, filename: str = "<config>") -> tuple[Configuration | None, ValidationReport]:
-    """Parse and validate; return (configuration-or-None, full report)."""
+    """Parse and validate; return (configuration-or-None, full report).
+
+    The production reader reads the usual texts; the lexeme parser reads
+    the texts it declines or fails on, and reports every error."""
+    try:
+        read = _read_productions(text)
+        if read is not None:
+            return _assemble(*read, None)
+    except ValueError:  # an empty name or origin, a huge version, overlapping lists
+        pass
     p = _Parser(text, filename)
     p.take("config")
     p.ident("a configuration name")
@@ -538,29 +627,7 @@ def check_config_text(text: str, filename: str = "<config>") -> tuple[Configurat
         raise p.fail("'component'")
     p.take("}")
     p.take("", "end of input")
-
-    def resolve(handles: list[str]) -> frozenset[ComponentId]:
-        # Unknown handles become placeholder ids so validation can report
-        # the closure violation instead of the parser guessing.
-        return frozenset([ids.get(h) or ComponentId("?", h, "?", 0) for h in handles])
-
-    components: list[Component] = []
-    for at, cid, children, files, depends in raw:
-        deps = resolve(depends)
-        try:
-            if children is not None:
-                built = Component(cid, deps, children=resolve(children))
-            else:
-                built = Component(cid, deps, elements=frozenset(files))
-        except ValueError as exc:
-            raise ParseError(p.span(at), "disjoint contains/depends lists", str(exc)) from exc
-        components.append(built)
-
-    config = Configuration(tuple(components))
-    report = validate_configuration(config)
-    if not report.ok:
-        return None, report
-    return config, report
+    return _assemble(ids, raw, p)
 
 
 def parse_config(text: str, filename: str = "<config>") -> Configuration:
@@ -584,6 +651,8 @@ def kind_of(text: str, filename: str = "<input>") -> str:
 # Canonical printing
 
 def _quote(text: str) -> str:
+    if "\n" in text:  # a string lexeme ends at the line
+        raise ValueError(f"the string {_brief(text)} has no written form: it holds a line break")
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 

@@ -3,8 +3,8 @@
 Every test drives ``main(argv)`` directly and asserts on the returned exit
 code and the captured stdout/stderr, so the full contract — exit codes,
 text lines, JSON payloads, file writes, and the journal — is pinned down.
-The last test imports the CLI in a fresh interpreter to check what start-up
-loads.
+The last two tests import the CLI in a fresh interpreter to check what
+start-up loads and compiles.
 """
 from __future__ import annotations
 
@@ -417,6 +417,25 @@ class TestApplyUndo:
         assert err.startswith("error:")
         assert app.read_bytes() == before
 
+    def test_a_result_with_no_written_form_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        app = tmp_path / "app.cg"
+        app.write_text('config c {\n  component a : App ("a", "o", 1) files [];\n}\n')
+        spec = tmp_path / "app.csg"
+        spec.write_text("spec s {\n  node App { total: 0..0; }\n  root App;\n}\n")
+        change = tmp_path / "newline.json"
+        change.write_text(json.dumps({
+            "op": "update",
+            "replacements": [[["App", "a", "o", 1],
+                              {"id": ["App", "a\nb", "o", 2], "files": []}]]}))
+        before = app.read_bytes()
+        code, out, err = run(capsys, "apply", str(app), str(change), "--spec", str(spec))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "has no written form" in err
+        assert app.read_bytes() == before
+        assert not (tmp_path / "app.cg.journal").exists()
+        assert run(capsys, "check", str(app), str(spec))[0] == 0
+
     def test_malformed_changeset_exits_2(self, ws, capsys):
         change = ws / "broken.json"
         change.write_text("{")
@@ -568,3 +587,18 @@ def test_cli_import_generates_no_code():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_production_reader_uncompiled():
+    """The production reader's patterns are compiled on the first
+    configuration read, not at start-up: a command that reads none does
+    not pay for them."""
+    src = str(Path(confkit.__file__).resolve().parent.parent)
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import confkit.cli, confkit.textfmt as t; "
+             "print(t._productions.cache_info().currsize); "
+             "t.parse_config('config c { component a : T (\"a\", \"o\", 1) files []; }'); "
+             "print(t._productions.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]

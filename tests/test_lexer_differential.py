@@ -16,6 +16,11 @@ as one digest per block of `BLOCK` inputs.  To compare a block by hand, run
 
 in both checkouts and diff the output; without `--dump` it prints the
 digests.
+
+`check_config_text` first offers a text to the production reader, which
+reads one `component` production per regex match.  Every corpus text, and
+every text of a second, seeded set of layouts, must give the same outcome
+with that reader as with the lexeme parser alone.
 """
 
 from __future__ import annotations
@@ -254,6 +259,64 @@ def corpus() -> list[tuple[str, str]]:
     return out
 
 
+LAYOUT_HANDLES = ("a", "b", "c", "top", "x1", "_y", "config", "component",
+                  "contains", "files", "depends")
+LAYOUT_STRINGS = ("a", "lib.so", "x y", 'q"uote', "back\\slash", '\\"', "%\t\r")
+
+
+def _layout(rnd: random.Random) -> str:
+    """A configuration text of 1-5 components in a seeded ASCII layout:
+    every blank the lexer skips, trailing commas, empty lists, keywords as
+    handles and escaped strings.  Now and then a keyword is glued to the
+    handle after it, a name or origin is `""`, a handle repeats, a handle
+    is both contained and depended on, a version has 4,301 digits, or a
+    `\\f`, `\\v` or `#` comment appears between two lexemes."""
+    def gap() -> str:
+        return rnd.choice(("", "", " ", "  ", "\t", "\n", "\r\n", " \t\r\n "))
+
+    def blank() -> str:  # between two words; sometimes none, gluing them
+        return "" if rnd.random() < 0.03 else rnd.choice((" ", "\t", "\n", "\r\n", " \t "))
+
+    def string(values=LAYOUT_STRINGS) -> str:
+        value = "" if rnd.random() < 0.03 else rnd.choice(values)
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    def items(read, pool) -> str:
+        chosen = [read(pool) for _ in range(rnd.choice((0, 0, 1, 2, 3)))]
+        inner = f"{gap()},{gap()}".join(chosen)
+        if chosen and rnd.random() < 0.3:
+            inner += gap() + ","
+        return f"[{gap()}{inner}{gap()}]"
+
+    count = rnd.randint(1, 5)
+    handles = rnd.sample(LAYOUT_HANDLES, count)
+    if count > 1 and rnd.random() < 0.05:
+        handles[-1] = handles[0]
+    parts = [gap(), "config", blank(), rnd.choice(("c", "scale", "files")), gap(), "{"]
+    for k, handle in enumerate(handles):
+        others = handles[k + 1:] or ["b"]
+        version = "1" + "0" * 4300 if rnd.random() < 0.02 else str(rnd.choice((0, 1, 7, 42, 100)))
+        if rnd.random() < 0.5 and k + 1 < count:
+            payload = "contains" + gap() + items(rnd.choice, others)
+        else:
+            payload = "files" + gap() + items(lambda _: string(), None)
+        depends = ""
+        if rnd.random() < 0.4:
+            depends = gap() + "depends" + gap() + items(rnd.choice, handles)
+        parts += [gap(), "component", blank(), handle, gap(), ":", gap(),
+                  rnd.choice(("T", "Lib", "Bin", "contains")), gap(), "(", gap(), string(),
+                  gap(), ",", gap(), string(("o", "acme")), gap(), ",", gap(), version,
+                  gap(), ")", gap(), payload, depends, gap(), ";"]
+    parts += [gap(), "}", gap()]
+    if rnd.random() < 0.1:
+        k = rnd.randrange(len(parts) + 1)
+        parts.insert(k, rnd.choice(("\f", "\v", "# note\n")))
+    return "".join(parts)
+
+
+LAYOUTS = [_layout(random.Random(f"layout:{n}")) for n in range(1500)]
+
+
 # --------------------------------------------------------------------------
 # Lexemes against reference tokens
 
@@ -376,6 +439,61 @@ def test_parse_outcomes_match_the_recorded_ones(b):
         f"outcomes of block {b} changed; compare `--dump {b}` across checkouts")
 
 
+# --------------------------------------------------------------------------
+# The production reader against the lexeme parser
+
+
+def config_outcome(text: str) -> tuple:
+    """What `check_config_text` gives: the components in text order and the
+    report, or the ParseError's span, expected, found and message."""
+    try:
+        config, report = textfmt.check_config_text(text, "<t>")
+    except ParseError as exc:
+        return "ParseError", exc.span, exc.expected, exc.found, str(exc)
+    return None if config is None else config.components, report
+
+
+def lexeme_outcome(text: str) -> tuple:
+    """`config_outcome` with the production reader declining every text."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textfmt, "_read_productions", lambda text: None)
+        return config_outcome(text)
+
+
+@pytest.mark.parametrize("section", ["pinned", "alphabet", "fixtures", "scale", "layouts"])
+def test_both_config_readers_agree(section):
+    texts = LAYOUTS if section == "layouts" else [text for name, text in CORPUS if name == section]
+    for text in texts:
+        assert config_outcome(text) == lexeme_outcome(text), repr(text)
+
+
+def read_by_productions(text: str) -> bool:
+    try:
+        return textfmt._read_productions(text) is not None
+    except ValueError:  # a "" name or origin, or a version int() does not convert
+        return False
+
+
+def test_the_layouts_reach_both_readers():
+    read = [read_by_productions(text) for text in LAYOUTS]
+    valid = [lexeme_outcome(text)[0] not in (None, "ParseError") for text in LAYOUTS]
+    assert sum(read) > len(LAYOUTS) // 3
+    assert sum(valid) > len(LAYOUTS) // 10
+    assert sum(not r for r in read) > len(LAYOUTS) // 10
+
+
+def test_canonical_and_scale_texts_take_the_production_reader():
+    rnd = random.Random(0x5CA1E)
+    texts = [FIXTURES.joinpath(name).read_text() for name in ("psy1.cg", "psy2.cg")]
+    texts += [print_config(parse_config(text)) for text in texts]
+    texts += [_scale_config(rnd) for _ in range(20)]
+    texts.append(print_config(Configuration((Component.leaf(
+        ComponentId("T", 'sa"y \\ hi', "o", 1), ['we"ird\\file', "", "x, y"]),))))
+    for text in texts:
+        assert read_by_productions(text), text
+        assert config_outcome(text)[0] is not None
+
+
 def test_trailing_comment_puts_the_end_at_its_hash():
     with pytest.raises(ParseError) as exc:
         parse_config("config x { # comment")
@@ -398,6 +516,7 @@ def test_kind_of_reads_only_the_leading_lexeme():
 @pytest.mark.parametrize("pattern", [
     textfmt._lexer("").pattern, textfmt._lexer("²½①").pattern,
     textfmt._LEADING.pattern, textfmt._STRING_PREFIX.pattern,
+    *[p.pattern for p in textfmt._productions()],
 ])
 def test_patterns_compile_on_python_3_10(pattern):
     # Possessive quantifiers and atomic groups came with Python 3.11, and

@@ -414,6 +414,22 @@ class TestPrinting:
         text = print_config(cfg)
         assert parse_config(text) == cfg
 
+    @pytest.mark.parametrize("field", ["name", "origin", "file"])
+    def test_a_line_break_in_a_string_has_no_written_form(self, field):
+        # A string lexeme ends at the line, so the text could not be read back.
+        ci = ComponentId("T", "a\nb" if field == "name" else "a",
+                         "o\n" if field == "origin" else "o", 1)
+        cfg = Configuration((Component.leaf(ci, ["x\ny"] if field == "file" else []),))
+        with pytest.raises(ValueError, match="has no written form"):
+            print_config(cfg)
+
+    def test_a_line_break_in_a_spec_literal_has_no_written_form(self):
+        from confkit import AbstractComponentId, ComponentSpec, NameSet, SpecSet
+
+        node = ComponentSpec(AbstractComponentId("T", names=NameSet.of("a\nb")))
+        with pytest.raises(ValueError, match="has no written form"):
+            print_spec(SpecSet(frozenset({node})))
+
     def test_singleton_versions_print_as_spans(self, cs_psycho):
         # The reference spec pins no versions, so build one that does.
         from confkit import (

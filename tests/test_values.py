@@ -286,3 +286,32 @@ def test_construction_normalises_and_validates():
         VersionSet()
     with pytest.raises(ValueError):
         AbstractComponentId("")
+
+
+def test_a_subclass_has_its_parents_fields_first():
+    class Tagged(ComponentId):
+        __slots__ = ("tag",)
+
+        def __init__(self, ctype, name, origin, version, tag):
+            super().__init__(ctype, name, origin, version)
+            object.__setattr__(self, "tag", tag)
+
+    tagged = Tagged("T", "n", "o", 1, "x")
+    assert tagged == Tagged("T", "n", "o", 1, "x")
+    assert hash(tagged) == hash(("T", "n", "o", 1, "x"))
+    assert tagged != Tagged("T", "n", "o", 2, "x") and tagged != Tagged("T", "n", "o", 1, "y")
+    assert tagged != CID
+    assert repr(tagged) == f"{Tagged.__qualname__}(ctype='T', name='n', origin='o', version=1, tag='x')"
+    assert copy.deepcopy(tagged) == tagged
+    assert tagged.replace(version=2) == Tagged("T", "n", "o", 2, "x")
+
+
+def test_a_subclass_without_slots_of_its_own():
+    class Plain(ComponentId):
+        __slots__ = ()
+
+    plain = Plain("T", "n", "o", 1)
+    assert plain == Plain("T", "n", "o", 1) and hash(plain) == hash(CID)
+    assert plain != Plain("T", "n", "o", 2) and plain != CID
+    assert repr(plain) == f"{Plain.__qualname__}(ctype='T', name='n', origin='o', version=1)"
+    assert copy.deepcopy(plain) == plain and plain.replace(name="m") == Plain("T", "m", "o", 1)
