@@ -168,10 +168,10 @@ class NameSet(_Value):
             return True
         if self.is_any:
             return False
-        # A prefix family is infinite, so only a covering prefix can absorb it.
-        return all(n in other for n in self.literals) and all(
-            any(p.startswith(q) for q in other.prefixes) for p in self.prefixes
-        )
+        # Only a covering prefix absorbs a prefix family (it is infinite) or a literal other lacks.
+        covering = tuple(other.prefixes)
+        return (all(n.startswith(covering) for n in self.literals - other.literals)
+                and all(p.startswith(covering) for p in self.prefixes))
 
     def union(self, other: NameSet) -> NameSet:
         if self.is_any or other.is_any:
@@ -320,6 +320,23 @@ class ComponentId(_Value):
         _set(self, "name", name)
         _set(self, "origin", origin)
         _set(self, "version", version)
+
+    # Ids are hashed and compared most: these two read the slots inline.  A subclass may
+    # add fields, so it gets _Value's unless it or a class between defines its own.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctype, self.name, self.origin, self.version) == (
+            other.ctype, other.name, other.origin, other.version)
+
+    def __hash__(self) -> int:
+        return hash((self.ctype, self.name, self.origin, self.version))
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        for method in ("__eq__", "__hash__"):
+            if getattr(cls, method) is ComponentId.__dict__[method]:
+                setattr(cls, method, getattr(_Value, method))
 
     @property
     def sort_key(self) -> tuple[str, str, int, str]:

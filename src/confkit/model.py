@@ -145,12 +145,14 @@ class Component(_Value):
 class Configuration(_Value):
     """A set of components.  Construction is lenient; see validate_configuration."""
 
-    # _report: validate_configuration's report, kept on first use: the value is immutable
-    __slots__ = ("components", "_report")
+    # _report, and if it is ok _by_id and _root: kept by validate_configuration (immutable value)
+    __slots__ = ("components", "_report", "_by_id", "_root")
 
     def __init__(self, components: Iterable[Component] = ()) -> None:
         _set(self, "components", tuple(components))
         _set(self, "_report", None)
+        _set(self, "_by_id", None)
+        _set(self, "_root", None)
 
     def __iter__(self) -> Iterator[Component]:
         return iter(self.components)
@@ -170,7 +172,8 @@ class Configuration(_Value):
         return sorted(self.components, key=lambda c: c.sort_key)
 
     def by_id(self) -> dict[ComponentId, Component]:
-        return {c.id: c for c in self.components}
+        """A fresh dict, copied from the index a valid configuration keeps."""
+        return dict(self._by_id) if self._by_id is not None else {c.id: c for c in self.components}
 
     def __contains__(self, id: ComponentId) -> bool:
         return any(c.id == id for c in self.components)
@@ -261,16 +264,18 @@ class SpecSet(_Value):
 
 def validate_configuration(config: Configuration | Iterable[Component]) -> ValidationReport:
     """Check the configuration conditions; report every violation, raise nothing.
-    A `Configuration` is checked once and keeps its report; a list every time."""
+    A `Configuration` is checked once and keeps its report; a list every time.
+    A valid `Configuration` also keeps its components by id and its root."""
     if isinstance(config, Configuration) and config._report is not None:
         return config._report
     components = list(config)
     violations: list[Violation] = []
 
-    # Set operations reuse the hashes their members keep, so membership is
-    # tested in bulk and only the ids that are reported get sorted.
+    # Sets built from sets or dicts reuse the hashes kept there: each id is hashed
+    # once here, membership is tested in bulk and only reported ids get sorted.
     ids = [c.id for c in components]
-    declared = set(ids)
+    by_id = dict(zip(ids, components))
+    declared = set(by_id)
     if len(declared) < len(ids):
         # dicts keep insertion order: duplicates are reported in first-occurrence order
         times: dict[ComponentId, int] = {}
@@ -319,8 +324,15 @@ def validate_configuration(config: Configuration | Iterable[Component]) -> Valid
 
     # The four conditions above admit child-cycles detached from the root;
     # the parent relation is only a tree if everything is reachable from it.
-    if len(root_ids) == 1 and not any(v.condition == "duplicate-id" for v in violations):
-        by_id = {c.id: c for c in components}
+    # When they all hold, the walk from the root meets no id twice, so it
+    # need only count; when it falls short, the walk below names the rest.
+    root = by_id[root_ids[0]] if len(root_ids) == 1 else None
+    stack, walked = [root] if root is not None and not violations else [], 0
+    while stack:
+        walked += 1
+        stack.extend(map(by_id.__getitem__, stack.pop().child_ids))
+    if root is not None and walked < len(components) and not any(
+            v.condition == "duplicate-id" for v in violations):
         reachable: set[ComponentId] = set()
         stack = [root_ids[0]]
         while stack:
@@ -338,6 +350,9 @@ def validate_configuration(config: Configuration | Iterable[Component]) -> Valid
     report = ValidationReport(tuple(violations))
     if isinstance(config, Configuration):
         _set(config, "_report", report)
+        if report.ok:
+            _set(config, "_by_id", by_id)
+            _set(config, "_root", root)
     return report
 
 
@@ -436,13 +451,13 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
     return report
 
 
-def root_of(config: Configuration) -> Component:
-    """The unique component not contained in any other.  Validates first."""
+def root_of(config: Configuration | Iterable[Component]) -> Component:
+    """The unique component not contained in any other, kept by validation, which runs first."""
+    config = config if isinstance(config, Configuration) else Configuration(config)
     report = validate_configuration(config)
     if not report.ok:
         raise NotAConfiguration(report)
-    referenced = {child for c in config for child in c.child_ids}
-    return next(c for c in config if c.id not in referenced)
+    return config._root
 
 
 def spec_root(spec: SpecSet) -> ComponentSpec | None:

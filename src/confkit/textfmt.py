@@ -656,6 +656,13 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _ctype(ctype: str) -> str:
+    """A component type as written: one identifier (`\\w` is `isalnum` or '_')."""
+    if _is_ident(ctype) and ctype.replace("_", "a").isalnum():
+        return ctype
+    raise ValueError(f"the component type {_brief(ctype)} has no written form: it is not an identifier")
+
+
 def _sanitize(name: str) -> str:
     out = "".join(c if c.isalnum() or c == "_" else "_" for c in name)
     if not out:
@@ -721,8 +728,8 @@ def _fmt_dep(dep: AbstractComponentId, base: AbstractComponentId) -> str:
     if dep.versions != base.versions:
         fields.append(f"version: {_fmt_verset(dep.versions)};")
     if not fields:
-        return dep.ctype
-    return f"{dep.ctype}({' '.join(fields)})"
+        return _ctype(dep.ctype)
+    return f"{_ctype(dep.ctype)}({' '.join(fields)})"
 
 
 def print_spec(spec: SpecSet, *, name: str | None = None,
@@ -746,7 +753,7 @@ def print_spec(spec: SpecSet, *, name: str | None = None,
         lines.extend(f"# {h}".rstrip() for h in header.splitlines())
     lines.append(f"spec {name} {{")
     for node in nodes:
-        lines.append(f"  node {node.ctype} {{")
+        lines.append(f"  node {_ctype(node.ctype)} {{")
         if not node.aci.names.is_any:
             lines.append(f"    name: {_fmt_nameset(node.aci.names)};")
         if not node.aci.origins.is_any:
@@ -756,7 +763,7 @@ def print_spec(spec: SpecSet, *, name: str | None = None,
         lines.append(f"    total: {node.total};")
         if node.children:
             slots = sorted(node.children, key=lambda s: s.aci.ctype)
-            inner = ", ".join(f"{s.aci.ctype}: {s.count}" for s in slots)
+            inner = ", ".join(f"{_ctype(s.aci.ctype)}: {s.count}" for s in slots)
             lines.append(f"    contains {{ {inner} }}")
         if node.dependencies:
             rendered = []
@@ -767,7 +774,7 @@ def print_spec(spec: SpecSet, *, name: str | None = None,
             inner = ", ".join(text for _, text in sorted(rendered))
             lines.append(f"    depends {{ {inner} }}")
         lines.append("  }")
-    lines.append(f"  root {root};")
+    lines.append(f"  root {_ctype(root)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -783,7 +790,7 @@ def print_config(config: Configuration, *, name: str | None = None) -> str:
         name = _sanitize(roots[0].id.name) if len(roots) == 1 else "config"
     lines = [f"config {name} {{"]
     for c in comps:
-        head = (f"  component {handles[c.id]} : {c.id.ctype} "
+        head = (f"  component {handles[c.id]} : {_ctype(c.id.ctype)} "
                 f"({_quote(c.id.name)}, {_quote(c.id.origin)}, {c.id.version})")
         if c.is_leaf:
             assert c.elements is not None

@@ -10,6 +10,8 @@ in the newer one at the same or a later version.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .algebra import ComponentId, Interval, _set, _Value, merge_identifiers
 from .model import (
     ComponentSpec,
@@ -59,21 +61,21 @@ class CompatVerdict(_Value):
         _set(self, "reasons", reasons)
 
 
+_id_order = attrgetter("ctype", "name", "version", "origin")  # ComponentId.sort_key, in C
+
+
 def ctype_order(config: Configuration) -> list[str]:
     """Ctypes in depth-first order from the root, children sorted, first seen
     wins.  Raises NotAConfiguration, through root_of, if the configuration
     is invalid."""
-    by_id = config.by_id()
-    order: list[str] = []
-    seen: set[str] = set()
     stack = [root_of(config).id]
+    by_id = config._by_id  # kept by the validation root_of ran
+    order: dict[str, None] = {}  # the ctypes in first-seen order
     while stack:
         current = by_id[stack.pop()]
-        if current.id.ctype not in seen:
-            seen.add(current.id.ctype)
-            order.append(current.id.ctype)
-        stack.extend(sorted(current.child_ids, key=lambda i: i.sort_key, reverse=True))
-    return order
+        order.setdefault(current.id.ctype)
+        stack.extend(sorted(current.child_ids, key=_id_order, reverse=True))
+    return list(order)
 
 
 def _checked_spec(spec: SpecSet) -> None:
@@ -309,18 +311,17 @@ def _stand_in_reasons(a: Configuration, b: Configuration, relaxed: bool) -> list
         i = cb.id
         for index, key in ((by_name, (i.ctype, i.origin, i.name)), (by_origin, (i.ctype, i.origin))):
             index[key] = max(index.get(key, i.version), i.version)
-    reasons: list[CompatReason] = []
-    for ca in sorted(a, key=lambda c: c.sort_key):
+    failing: list[tuple] = []  # (component of a, cause)
+    for ca in a:
         i = ca.id
         if relaxed and not ca.is_leaf:
             best = by_origin.get((i.ctype, i.origin))
         else:
             best = by_name.get((i.ctype, i.origin, i.name))
-        if best is None:
-            reasons.append(CompatReason(str(i), "no-counterpart"))
-        elif best < i.version:
-            reasons.append(CompatReason(str(i), "version-regression"))
-    return reasons
+        if best is None or best < i.version:
+            failing.append((ca, "no-counterpart" if best is None else "version-regression"))
+    failing.sort(key=lambda f: f[0].sort_key)  # stable: the order sorting all of a gives
+    return [CompatReason(str(ca.id), cause) for ca, cause in failing]
 
 
 def config_leq(a: Configuration, b: Configuration, *, relaxed: bool = True) -> bool:

@@ -3,11 +3,16 @@
 `infer` builds one node per ctype in a grouped pass, `merge_identifiers`
 unions every part once, and `_stand_in_reasons` looks counterparts up in an
 index.  Each is compared here, on seeded random inputs, with the quadratic
-algorithm it replaced, kept in this file as the reference.
+algorithm it replaced, kept in this file as the reference.  So is
+`validate_configuration`, which walks a well-formed tree by counting and
+keeps its id index and root on the value for `root_of`, `by_id` and
+`ctype_order`, against the reachable-set walk and the fresh computations.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from functools import reduce
 
@@ -33,10 +38,13 @@ from confkit import (
     infer_component,
     lift_identifiers,
     merge_identifiers,
+    print_config,
+    root_of,
     unify,
     validate_configuration,
 )
-from confkit.typecheck import CompatReason, _stand_in_reasons
+from confkit.model import ValidationReport, Violation
+from confkit.typecheck import CompatReason, _stand_in_reasons, ctype_order
 
 CTYPES = ("T", "U", "V")
 NAMES = ("a", "b", "c")  # shared by every ctype
@@ -85,6 +93,78 @@ def reference_stand_in_reasons(a: Configuration, b: Configuration, relaxed: bool
         older = stands_in(ca.id.replace(version=0))
         reasons.append(CompatReason(str(ca.id), "version-regression" if older else "no-counterpart"))
     return reasons
+
+
+def reference_validate(components: list[Component]) -> ValidationReport:
+    """The configuration conditions with a reachable set for the last one."""
+    violations: list[Violation] = []
+    ids = [c.id for c in components]
+    declared = set(ids)
+    if len(declared) < len(ids):
+        times: dict[ComponentId, int] = {}
+        for i in ids:
+            times[i] = times.get(i, 0) + 1
+        for i, n in times.items():
+            if n > 1:
+                violations.append(Violation(
+                    "duplicate-id", (str(i),), f"component id {i} declared {n} times"))
+    for c in components:
+        for child in sorted(c.child_ids - declared, key=lambda i: i.sort_key):
+            violations.append(Violation(
+                "children-closure", (str(c.id), str(child)),
+                f"{c.id} contains {child}, which is not in the configuration"))
+        for dep in sorted(c.dependencies - declared, key=lambda i: i.sort_key):
+            violations.append(Violation(
+                "dependency-closure", (str(c.id), str(dep)),
+                f"{c.id} depends on {dep}, which is not in the configuration"))
+    referenced = {child for c in components for child in c.child_ids}
+    root_ids = sorted(declared - referenced, key=lambda i: i.sort_key)
+    if not components:
+        violations.append(Violation("unique-root", (), "configuration is empty"))
+    elif not root_ids:
+        violations.append(Violation(
+            "unique-root", (), "no root: every component is contained in another"))
+    elif len(root_ids) > 1:
+        violations.append(Violation(
+            "unique-root", tuple(str(i) for i in root_ids),
+            "more than one root: " + ", ".join(str(i) for i in root_ids)))
+    parents: dict[ComponentId, set[ComponentId]] = {}
+    for c in components:
+        for child in c.child_ids:
+            parents.setdefault(child, set()).add(c.id)
+    for child in sorted((k for k, of in parents.items() if len(of) > 1), key=lambda i: i.sort_key):
+        violations.append(Violation(
+            "multiple-parents", (str(child),) + tuple(
+                str(p) for p in sorted(parents[child], key=lambda i: i.sort_key)),
+            f"{child} is contained in more than one component"))
+    if len(root_ids) == 1 and not any(v.condition == "duplicate-id" for v in violations):
+        by_id = {c.id: c for c in components}
+        reachable: set[ComponentId] = set()
+        stack = [root_ids[0]]
+        while stack:
+            current = stack.pop()
+            if current in reachable or current not in by_id:
+                continue
+            reachable.add(current)
+            stack.extend(by_id[current].child_ids)
+        for c in components:
+            if c.id not in reachable:
+                violations.append(Violation(
+                    "unreachable", (str(c.id),), f"{c.id} is not reachable from the root"))
+    return ValidationReport(tuple(violations))
+
+
+def reference_ctype_order(components: list[Component]) -> list[str]:
+    by_id = {c.id: c for c in components}
+    referenced = {child for c in components for child in c.child_ids}
+    order: list[str] = []
+    stack = [next(c for c in components if c.id not in referenced).id]
+    while stack:
+        current = by_id[stack.pop()]
+        if current.id.ctype not in order:
+            order.append(current.id.ctype)
+        stack.extend(sorted(current.child_ids, key=lambda i: i.sort_key, reverse=True))
+    return order
 
 
 # --------------------------------------------------------------------------
@@ -159,6 +239,45 @@ def random_successor(rng: random.Random, a: Configuration) -> Configuration:
             comps.append(Component.leaf(extra, ["extra"]))
     rng.shuffle(comps)
     return Configuration(tuple(comps))
+
+
+def random_components(rng: random.Random) -> list[Component]:
+    """A random configuration's components, broken a third of the time in
+    one or two ways: a detached child-cycle, a child shared by two
+    composites, a duplicated id, a dangling child or dependency, a dropped
+    component; or no components at all."""
+    if rng.random() < 0.03:
+        return []
+    comps = list(random_config(rng))
+    fresh = (ComponentId("W", f"w{k}", "o1", 0) for k in range(100))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        if not comps:
+            break
+        fault = rng.randrange(6)
+        if fault == 0:  # a detached cycle x -> y -> x, sometimes x -> x
+            x, y = next(fresh), next(fresh)
+            comps += ([Component.composite(x, [x])] if rng.random() < 0.3 else
+                      [Component.composite(x, [y]), Component.composite(y, [x])])
+        elif fault == 1 and len(comps) > 1:  # a second parent for a child
+            c, child = rng.sample(comps, 2)
+            comps[comps.index(c)] = Component.composite(
+                c.id, c.child_ids | {child.id}, c.dependencies - {child.id})
+        elif fault == 2:  # a duplicate id, same or other payload
+            c = rng.choice(comps)
+            comps.append(c if rng.random() < 0.5 else Component.leaf(c.id, ["dup"]))
+        elif fault in (3, 4):  # a dangling child or dependency
+            i = rng.randrange(len(comps))
+            c = comps[i]
+            if fault == 3:
+                comps[i] = Component.composite(c.id, c.child_ids | {next(fresh)}, c.dependencies)
+            elif c.is_leaf:
+                comps[i] = Component.leaf(c.id, c.elements, c.dependencies | {next(fresh)})
+            else:
+                comps[i] = Component.composite(c.id, c.child_ids, c.dependencies | {next(fresh)})
+        else:  # a dropped component: dangling references or a second root
+            comps.pop(rng.randrange(len(comps)))
+    rng.shuffle(comps)
+    return comps
 
 
 def random_aci(rng: random.Random, ctype: str = "T") -> AbstractComponentId:
@@ -277,3 +396,44 @@ def test_indexed_stand_in_equals_the_pairwise_scan(relaxed):
             assert config_leq(a, b, relaxed=relaxed) == (not expected)
             causes.update(r.cause for r in expected)
     assert causes == {"no-counterpart", "version-regression"}
+
+
+def test_counting_walk_and_kept_index_equal_fresh_computations():
+    rng = random.Random(20109)
+    seen = set()
+    for _ in range(3000):
+        comps = random_components(rng)
+        expected = reference_validate(comps)
+        config = Configuration(tuple(comps))
+        assert validate_configuration(config) == expected == validate_configuration(comps)
+        seen.update(v.condition for v in expected.violations)
+        if not expected.ok:
+            assert config._by_id is None and config._root is None
+            continue
+        seen.add("ok")
+        referenced = {child for c in comps for child in c.child_ids}
+        assert root_of(config) == next(c for c in comps if c.id not in referenced) == root_of(comps)
+        assert print_config(config) == print_config(comps)
+        index = config.by_id()
+        assert index == {c.id: c for c in comps} and list(index) == [c.id for c in comps]
+        assert ctype_order(config) == reference_ctype_order(comps)
+    assert seen == {"ok", "duplicate-id", "children-closure", "dependency-closure",
+                    "unique-root", "multiple-parents", "unreachable"}
+
+
+def test_the_kept_index_cannot_be_corrupted_or_carried_over():
+    rng = random.Random(20110)
+    for _ in range(50):
+        config = random_config(rng)
+        first = next(iter(config)).id
+        mine = config.by_id()
+        mine.clear()
+        mine[ComponentId("X", "x", "o1", 0)] = None
+        assert config.by_id() == {c.id: c for c in config} and first in config
+        for other in (copy.copy(config), copy.deepcopy(config), pickle.loads(pickle.dumps(config)),
+                      config.replace()):
+            assert other == config and other._report is None and other._by_id is None
+        smaller = config.replace(components=config.components[1:])
+        assert smaller._by_id is None and first not in smaller
+        assert not smaller.components or validate_configuration(smaller) == reference_validate(
+            list(smaller.components))

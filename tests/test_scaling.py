@@ -16,6 +16,12 @@ count.  The line-event guards count the lines the interpreter executes
 (`sys.settrace` "line" events), each iteration included: `direct_check` on
 the k-ctype shape, and `validate_spec` on k leaf nodes that each depend on
 one `Lib`.
+
+The hash guard counts `ComponentId.__hash__` calls per component at 4n:
+each id is hashed a few times while a text is read and validated, and about
+once by `compliant` on a validated configuration, which reads the id index
+and root validation kept.  It fails if a pass that rebuilds an index or a
+set of ids per call comes back (the code before had 8.8 and 4.0 here).
 """
 
 from __future__ import annotations
@@ -141,6 +147,8 @@ def test_inputs_are_n_and_4n_compliant_components():
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_calls_grow_linearly(name):
     small, large = CALLS[name](SMALL_BINS), CALLS[name](LARGE_BINS)
+    if name == "parse_config":
+        parse_config(small[1])  # the reader's patterns compile once, outside the count
     ratio = call_events(*large) / call_events(*small)
     assert ratio < MAX_RATIO, f"{name}: {ratio:.1f}x the calls for 4x the components"
 
@@ -182,3 +190,27 @@ def test_lines_grow_linearly_in_distinct_ctypes(name):
     small, large = LINE_CALLS[name](SMALL_K), LINE_CALLS[name](LARGE_K)
     ratio = line_events(*large) / line_events(*small)
     assert ratio < MAX_RATIO, f"{name}: {ratio:.1f}x the lines for 4x the ctypes"
+
+
+def count_id_hashes(fn, *args) -> int:
+    count = 0
+    hash_id = ComponentId.__hash__
+
+    def counted(self):
+        nonlocal count
+        count += 1
+        return hash_id(self)
+
+    ComponentId.__hash__ = counted
+    try:
+        fn(*args)
+    finally:
+        ComponentId.__hash__ = hash_id
+    return count
+
+
+def test_ids_are_hashed_a_bounded_number_of_times_per_component():
+    text = print_config(tree(LARGE_BINS))
+    assert count_id_hashes(parse_config, text) / 200 <= 5
+    parsed = parse_config(text)
+    assert count_id_hashes(compliant, parsed, SPEC) / 200 <= 1.5

@@ -423,6 +423,35 @@ class TestPrinting:
         with pytest.raises(ValueError, match="has no written form"):
             print_config(cfg)
 
+    @pytest.mark.parametrize("ctype", ["my type", "9lives", "a-b", "½x", "T\n"])
+    def test_a_ctype_that_is_not_an_identifier_has_no_written_form(self, ctype):
+        # The text would not read back: `my type` parses as 'my' then 'type'.
+        r = ComponentId("R", "r", "o", 1)
+        odd = ComponentId(ctype, "a", "o", 1)
+        for cfg in (Configuration((Component.leaf(odd),)),
+                    Configuration((Component.composite(r, {odd}), Component.leaf(odd)))):
+            with pytest.raises(ValueError, match="has no written form"):
+                print_config(cfg)
+
+    @pytest.mark.parametrize("where", ["node", "slot", "dependency", "root"])
+    def test_a_spec_ctype_that_is_not_an_identifier_has_no_written_form(self, where):
+        from confkit import AbstractComponentId, ChildSlot, ComponentSpec, Interval, SpecSet
+
+        odd = AbstractComponentId("my type" if where in ("node", "slot", "dependency") else "T")
+        nodes = {ComponentSpec(AbstractComponentId("R"), total=Interval(1, 1), children=(
+            [ChildSlot(odd, Interval(1, 1))] if where == "slot" else []),
+            dependencies=[odd] if where == "dependency" else [])}
+        if where == "node":
+            nodes.add(ComponentSpec(odd))
+        with pytest.raises(ValueError, match="has no written form"):
+            print_spec(SpecSet(frozenset(nodes)), root="R" if where != "root" else "my type")
+
+    def test_a_ctype_of_word_characters_round_trips(self):
+        r = ComponentId("Rö_2", "r", "o", 1)
+        leaf = ComponentId("_x²", "a", "o", 1)
+        cfg = Configuration((Component.composite(r, {leaf}), Component.leaf(leaf)))
+        assert parse_config(print_config(cfg)) == cfg
+
     def test_a_line_break_in_a_spec_literal_has_no_written_form(self):
         from confkit import AbstractComponentId, ComponentSpec, NameSet, SpecSet
 

@@ -306,6 +306,23 @@ def test_a_subclass_has_its_parents_fields_first():
     assert tagged.replace(version=2) == Tagged("T", "n", "o", 2, "x")
 
 
+def test_a_subclass_keeps_the_equality_and_hash_its_parent_defines():
+    class ByName(ComponentId):
+        __slots__ = ()
+
+        def __eq__(self, other):
+            return isinstance(other, ByName) and other.name == self.name
+
+        def __hash__(self):
+            return hash(self.name)
+
+    class Tagged(ByName):
+        __slots__ = ("tag",)
+
+    assert Tagged.__eq__ is ByName.__eq__ and Tagged.__hash__ is ByName.__hash__
+    assert Tagged("T", "n", "o", 1) == Tagged("U", "n", "p", 2) and hash(Tagged("T", "n", "o", 1)) == hash("n")
+
+
 def test_a_subclass_without_slots_of_its_own():
     class Plain(ComponentId):
         __slots__ = ()
