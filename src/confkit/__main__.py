@@ -1,0 +1,5 @@
+"""`python -m confkit` runs the command-line interface."""
+from .cli import run
+
+if __name__ == "__main__":
+    run()

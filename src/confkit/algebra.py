@@ -9,6 +9,7 @@ component identifiers built from them.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from operator import attrgetter
 from typing import Iterable
 
@@ -29,6 +30,7 @@ def _check_nat(value: object, what: str) -> None:
 
 # Sets a slot of a value under construction; the values refuse `setattr`.
 _set = object.__setattr__
+_new = object.__new__
 
 
 class _Value:
@@ -170,8 +172,8 @@ class NameSet(_Value):
             return False
         # Only a covering prefix absorbs a prefix family (it is infinite) or a literal other lacks.
         covering = tuple(other.prefixes)
-        return (all(n.startswith(covering) for n in self.literals - other.literals)
-                and all(p.startswith(covering) for p in self.prefixes))
+        return (all(map(str.startswith, self.literals - other.literals, repeat(covering)))
+                and all(map(str.startswith, self.prefixes, repeat(covering))))
 
     def union(self, other: NameSet) -> NameSet:
         if self.is_any or other.is_any:
@@ -321,6 +323,16 @@ class ComponentId(_Value):
         _set(self, "origin", origin)
         _set(self, "version", version)
 
+    @classmethod
+    def _trusted(cls, ctype: str, name: str, origin: str, version: int) -> ComponentId:
+        """An id from fields a grammar already proved: non-empty, and a natural version."""
+        self = _new(cls)
+        _set(self, "ctype", ctype)
+        _set(self, "name", name)
+        _set(self, "origin", origin)
+        _set(self, "version", version)
+        return self
+
     # Ids are hashed and compared most: these two read the slots inline.  A subclass may
     # add fields, so it gets _Value's unless it or a class between defines its own.
     def __eq__(self, other: object) -> bool:
@@ -458,7 +470,7 @@ def lift_identifiers(ids: Iterable[ComponentId]) -> AbstractComponentId:
             raise TypeMismatch(f"cannot merge {ctype} with {ci.ctype}")
     return AbstractComponentId(
         ctype=ctype,
-        names=NameSet(frozenset(ci.name for ci in items)),
-        origins=OriginSet(frozenset(ci.origin for ci in items)),
-        versions=VersionSet(values=frozenset(ci.version for ci in items)),
+        names=NameSet(frozenset([ci.name for ci in items])),
+        origins=OriginSet(frozenset([ci.origin for ci in items])),
+        versions=VersionSet(values=frozenset([ci.version for ci in items])),
     )

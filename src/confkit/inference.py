@@ -92,12 +92,13 @@ def _group_spec(members: list[Component], faithful_leaf_rule: bool) -> Component
     for c in members:
         for dep in c.dependencies:
             deps_by_type.setdefault(dep.ctype, []).append(dep)
-        if c.is_leaf:
+        kids = c.children
+        if kids is None:
             total += 1 if faithful_leaf_rule else 0
             continue
-        total += len(c.child_ids)
+        total += len(kids)
         tally: dict[str, int] = {}
-        for child in c.child_ids:
+        for child in kids:
             kids_by_type.setdefault(child.ctype, []).append(child)
             tally[child.ctype] = tally.get(child.ctype, 0) + 1
         for ctype, k in tally.items():

@@ -16,6 +16,7 @@ from .algebra import (
     AbstractComponentId,
     ComponentId,
     Interval,
+    _new,
     _set,
     _Value,
     sum_intervals,
@@ -108,13 +109,22 @@ class Component(_Value):
         dependencies = _frozen(dependencies)
         if (elements is None) == (children is None):
             raise ValueError(f"{id}: exactly one of elements/children required")
-        if elements is not None:
-            elements = _frozen(elements)
-        else:
-            children = _frozen(children)
-            overlap = dependencies & children
-            if overlap:
-                raise ValueError(f"{id}: dependencies overlap children: {sorted(str(i) for i in overlap)}")
+        self._fill(id, dependencies, None if elements is None else _frozen(elements),
+                   None if children is None else _frozen(children))
+
+    @classmethod
+    def _trusted(cls, *fields: object) -> Component:
+        """A component a parser read, whose grammar gave exactly one of
+        elements/children; each empty set must be `_EMPTY`."""
+        self = _new(cls)
+        self._fill(*fields)
+        return self
+
+    def _fill(self, id: ComponentId, dependencies: frozenset[ComponentId],
+              elements: frozenset[str] | None, children: frozenset[ComponentId] | None) -> None:
+        overlap = children and dependencies & children
+        if overlap:
+            raise ValueError(f"{id}: dependencies overlap children: {sorted(str(i) for i in overlap)}")
         _set(self, "id", id)
         _set(self, "dependencies", dependencies)
         _set(self, "elements", elements)
@@ -286,7 +296,7 @@ def validate_configuration(config: Configuration | Iterable[Component]) -> Valid
                 violations.append(Violation(
                     "duplicate-id", (str(i),), f"component id {i} declared {n} times"))
 
-    child_sets = [c.child_ids for c in components]
+    child_sets = [c.children or _EMPTY for c in components]
     referenced = frozenset().union(*child_sets)
     if not declared.issuperset(referenced.union(*[c.dependencies for c in components])):
         for c in components:
@@ -330,7 +340,7 @@ def validate_configuration(config: Configuration | Iterable[Component]) -> Valid
     stack, walked = [root] if root is not None and not violations else [], 0
     while stack:
         walked += 1
-        stack.extend(map(by_id.__getitem__, stack.pop().child_ids))
+        stack.extend(map(by_id.__getitem__, stack.pop().children or _EMPTY))
     if root is not None and walked < len(components) and not any(
             v.condition == "duplicate-id" for v in violations):
         reachable: set[ComponentId] = set()

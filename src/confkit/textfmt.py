@@ -10,8 +10,8 @@ One compiled master pattern cuts a text into lexemes with `re.findall`, and
 the parsers walk the resulting list of strings by index.  Lines and columns
 are computed only when a ParseError is built.  The whole text is lexed
 before the grammar runs, so a lexical error is reported before any grammar
-error.  A configuration text in ASCII is first read with one match per
-`component` production; the lexeme parser reads any text that fails there.
+error.  An ASCII configuration text is first read by one `findall` of its
+`component` productions; the lexeme parser reads any text that fails there.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .model import (
     SpecSet,
     ValidationReport,
     Violation,
+    _EMPTY,
     spec_root,
     validate_configuration,
     validate_spec,
@@ -517,7 +518,7 @@ def _component(p: _Parser) -> tuple[str, ComponentId, list[str] | None, list[str
         raise p.fail("'contains' or 'files'")
     depends = p.items(p.ident, "a component handle") if p.skip("depends") else []
     p.take(";")
-    return handle, ComponentId(ctype, name, origin, version), children, files, depends
+    return handle, ComponentId._trusted(ctype, name, origin, version), children, files, depends
 
 
 def _assemble(ids: dict[str, ComponentId], raw: list, p: _Parser | None) -> tuple[Configuration | None, ValidationReport]:
@@ -527,16 +528,17 @@ def _assemble(ids: dict[str, ComponentId], raw: list, p: _Parser | None) -> tupl
     def resolve(handles: list[str]) -> frozenset[ComponentId]:
         # Unknown handles become placeholder ids so validation can report
         # the closure violation instead of the parser guessing.
-        return frozenset([ids.get(h) or ComponentId("?", h, "?", 0) for h in handles])
+        found = frozenset(map(ids.get, handles))
+        return frozenset([ids.get(h) or ComponentId("?", h, "?", 0) for h in handles]) if None in found else found
 
     components: list[Component] = []
     for at, cid, children, files, depends in raw:
-        deps = resolve(depends)
+        deps = resolve(depends) if depends else _EMPTY
         try:
             if children is not None:
-                built = Component(cid, deps, children=resolve(children))
+                built = Component._trusted(cid, deps, None, resolve(children) if children else _EMPTY)
             else:
-                built = Component(cid, deps, elements=frozenset(files))
+                built = Component._trusted(cid, deps, frozenset(files) if files else _EMPTY, None)
         except ValueError as exc:
             if p is None:
                 raise
@@ -551,52 +553,59 @@ def _assemble(ids: dict[str, ComponentId], raw: list, p: _Parser | None) -> tupl
 
 
 @functools.cache
-def _productions() -> tuple[re.Pattern[str], re.Pattern[str], re.Pattern[str]]:
+def _productions() -> tuple[re.Pattern[str], ...]:
     """Compiled on the first configuration read: the `config NAME {` header,
-    a `component` production (handle, type, name, origin, version, children,
-    files, dependencies in groups 1-8) and a string.  On ASCII text they
-    match the lexemes the lexeme parser reads: blanks are the only
-    separators, so a comment stops a match, and `\\b` ends a keyword."""
+    a `component` production (all of it, then handle, type, name and origin
+    unquoted, version, and the bracketed children, files and dependencies in
+    groups 1-9), a string (its content in group 1) and a word (a handle in
+    such a list).  On ASCII text they match the lexemes the lexeme parser
+    reads: blanks are the only separators, so a comment stops a match, and
+    `\\b` ends a keyword."""
     s = r"[ \t\r\n]*"
     ident = r"[A-Za-z_]\w*"
     string = f'"{_STRING_BODY}"'
-    # a list: each item followed by ',' or by the closing ']'
-    idents = rf"\[{s}((?:{ident}{s}(?:,{s}|(?=\])))*)\]"
-    strings = rf"\[{s}((?:{string}{s}(?:,{s}|(?=\])))*)\]"
+    # a list, brackets included: each item followed by ',' or by the closing ']'
+    idents = rf"(\[{s}(?:{ident}{s}(?:,{s}|(?=\])))*\])"
+    strings = rf"(\[{s}(?:{string}{s}(?:,{s}|(?=\])))*\])"
     return (re.compile(rf"{s}config\b{s}{ident}{s}\{{{s}"),
-            re.compile(rf"component\b{s}({ident}){s}:{s}({ident}){s}\({s}({string}){s},{s}"
-                       rf"({string}){s},{s}([0-9]+){s}\){s}"
+            re.compile(rf"(component\b{s}({ident}){s}:{s}({ident}){s}\({s}\"({_STRING_BODY})\"{s},{s}"
+                       rf"\"({_STRING_BODY})\"{s},{s}([0-9]+){s}\){s}"
                        rf"(?:contains{s}{idents}|files{s}{strings}){s}"
-                       rf"(?:depends{s}{idents}{s})?;{s}"),
-            re.compile(string))
+                       rf"(?:depends{s}{idents}{s})?;{s})"),
+            re.compile(f'"({_STRING_BODY})"'), re.compile(r"\w+"))
 
 
 def _read_productions(text: str) -> tuple[dict[str, ComponentId], list] | None:
-    """The ids by handle and the raw entries of a configuration text, read
-    one production at a time; None for a text that is not ASCII, repeats a
-    handle or is not matched from end to end.  A `""` name or origin, or a
-    version int() does not convert, raises ValueError."""
+    """The ids by handle and the raw entries of a configuration text, read by
+    one `findall` between the header and the final `}`; None for a text that
+    is not ASCII, is not covered by the matches, repeats a handle or has a
+    `""` name or origin.  A version int() does not convert raises ValueError."""
     if not text.isascii():
         return None
-    header, production, string = _productions()
+    header, production, string, word = _productions()
     m = header.match(text)
-    if m is None:
+    end = len(text.rstrip(" \t\r\n")) - 1
+    if m is None or text[end:end + 1] != "}":
         return None
-    pos = m.end()
-    ids: dict[str, ComponentId] = {}
-    raw = []
-    while (m := production.match(text, pos)) is not None:
-        handle, ctype, name, origin, version, children, files, depends = m.groups()
-        if handle in ids:
-            return None
-        ids[handle] = cid = ComponentId(ctype, _unquote(name), _unquote(origin), int(version))
-        raw.append((0, cid, None if children is None else children.replace(",", " ").split(),
-                    None if files is None else [_unquote(f) for f in string.findall(files)],
-                    (depends or "").replace(",", " ").split()))
-        pos = m.end()
-    if not raw or text[pos:].rstrip(" \t\r\n") != "}":
+    rows = production.findall(text, m.end(), end)
+    if not rows:
         return None
-    return ids, raw
+    matched, handles, ctypes, names, origins, versions, children, files, depends = zip(*rows)
+    # findall's matches do not overlap: they cover the body when their lengths add up to it
+    if sum(map(len, matched)) != end - m.end() or "" in names or "" in origins:
+        return None
+    unescape = str  # the identity on what findall gives, unless the text holds an escape
+    if "\\" in text:
+        unescape = functools.partial(_ESCAPE.sub, r"\1")
+        names, origins = map(unescape, names), map(unescape, origins)
+    ids = list(map(ComponentId._trusted, ctypes, names, origins, map(int, versions)))
+    by_handle = dict(zip(handles, ids))
+    if len(by_handle) != len(ids):
+        return None
+    return by_handle, [(0, cid, word.findall(kids) if kids else None,
+                        (list(map(unescape, string.findall(f))) if '"' in f else []) if f else None,
+                        word.findall(deps) if deps else [])
+                       for cid, kids, f, deps in zip(ids, children, files, depends)]
 
 
 def check_config_text(text: str, filename: str = "<config>") -> tuple[Configuration | None, ValidationReport]:
@@ -797,11 +806,11 @@ def print_config(config: Configuration, *, name: str | None = None) -> str:
             payload = f"files [{', '.join(_quote(e) for e in sorted(c.elements))}]"
         else:
             kids = sorted(c.child_ids, key=lambda i: i.sort_key)
-            payload = f"contains [{', '.join(handles.get(i, _sanitize(i.name)) for i in kids)}]"
+            payload = f"contains [{', '.join(handles.get(i) or _sanitize(i.name) for i in kids)}]"
         dep_part = ""
         if c.dependencies:
             deps = sorted(c.dependencies, key=lambda i: i.sort_key)
-            dep_part = f" depends [{', '.join(handles.get(i, _sanitize(i.name)) for i in deps)}]"
+            dep_part = f" depends [{', '.join(handles.get(i) or _sanitize(i.name) for i in deps)}]"
         lines.append(f"{head} {payload}{dep_part};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -66,15 +66,18 @@ _id_order = attrgetter("ctype", "name", "version", "origin")  # ComponentId.sort
 
 def ctype_order(config: Configuration) -> list[str]:
     """Ctypes in depth-first order from the root, children sorted, first seen
-    wins.  Raises NotAConfiguration, through root_of, if the configuration
-    is invalid."""
+    wins; a childless child of a ctype already seen would add nothing, so it
+    is not pushed.  Raises NotAConfiguration, through root_of, if the
+    configuration is invalid."""
     stack = [root_of(config).id]
     by_id = config._by_id  # kept by the validation root_of ran
     order: dict[str, None] = {}  # the ctypes in first-seen order
     while stack:
         current = by_id[stack.pop()]
         order.setdefault(current.id.ctype)
-        stack.extend(sorted(current.child_ids, key=_id_order, reverse=True))
+        if current.children:
+            fresh = [i for i in current.children if i.ctype not in order or by_id[i].children]
+            stack.extend(sorted(fresh, key=_id_order, reverse=True))
     return list(order)
 
 

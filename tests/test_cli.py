@@ -3,12 +3,14 @@
 Every test drives ``main(argv)`` directly and asserts on the returned exit
 code and the captured stdout/stderr, so the full contract — exit codes,
 text lines, JSON payloads, file writes, and the journal — is pinned down.
-The last two tests import the CLI in a fresh interpreter to check what
-start-up loads and compiles.
+Two tests import the CLI in a fresh interpreter to check what start-up
+loads and compiles, and the last runs it as `python -m confkit.cli` and
+`python -m confkit`.
 """
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -602,3 +604,22 @@ def test_cli_import_leaves_the_production_reader_uncompiled():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "1"]
+
+
+@pytest.mark.parametrize("module", ["confkit.cli", "confkit"])
+def test_python_m_runs_the_cli(module):
+    """`python -m confkit.cli` and `python -m confkit` run the same CLI as
+    the `confkit` script: its exit codes and its `error:` line."""
+    env = {**os.environ, "PYTHONPATH": str(Path(confkit.__file__).resolve().parent.parent)}
+    env.pop("CONFKIT_FORMAT", None)
+
+    def cli(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", module, *argv], cwd=FIXTURES, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    ok = cli("check", "psy1.cg", "psycho.csg")
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.startswith("compliant:")
+    missing = cli("check", "psy1.cg", "nonexistent.csg")
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("error:")

@@ -6,7 +6,9 @@ index.  Each is compared here, on seeded random inputs, with the quadratic
 algorithm it replaced, kept in this file as the reference.  So is
 `validate_configuration`, which walks a well-formed tree by counting and
 keeps its id index and root on the value for `root_of`, `by_id` and
-`ctype_order`, against the reachable-set walk and the fresh computations.
+`ctype_order`, against the reachable-set walk and the fresh computations;
+and `ctype_order`, which neither sorts nor pushes a child with no children
+of a ctype already seen, against the DFS that sorts every child set.
 """
 
 from __future__ import annotations
@@ -419,6 +421,57 @@ def test_counting_walk_and_kept_index_equal_fresh_computations():
         assert ctype_order(config) == reference_ctype_order(comps)
     assert seen == {"ok", "duplicate-id", "children-closure", "dependency-closure",
                     "unique-root", "multiple-parents", "unreachable"}
+
+
+def random_tree(rng: random.Random) -> Configuration:
+    """A valid tree of 1 to 40 components of at most three ctypes, often
+    deep: each component hangs under a recent composite, so one ctype
+    recurs at several depths and many leaves meet a ctype already seen; a
+    composite may have no children."""
+    size = 1 if rng.random() < 0.1 else rng.randint(2, 40)
+    ids = [ComponentId(rng.choice(CTYPES), f"c{k}", rng.choice(ORIGINS), rng.randrange(3))
+           for k in range(size)]
+    kids: dict[int, list[ComponentId]] = {k: [] for k in range(size)}
+    for k in range(1, size):
+        kids[rng.randrange(max(0, k - 4), k)].append(ids[k])
+    comps = [Component.composite(ci, kids[k]) if kids[k] or rng.random() < 0.3 else Component.leaf(ci)
+             for k, ci in enumerate(ids)]
+    rng.shuffle(comps)
+    return Configuration(tuple(comps))
+
+
+def dfs_rows(components: list[Component]) -> list[tuple[str, int, bool, bool]]:
+    """(ctype, depth, has no children, ctype already met) per component, in
+    the order the sorted DFS pops them."""
+    by_id = {c.id: c for c in components}
+    referenced = {child for c in components for child in c.child_ids}
+    stack = [(next(c for c in components if c.id not in referenced).id, 0)]
+    seen, rows = set(), []
+    while stack:
+        ci, depth = stack.pop()
+        kids = sorted(by_id[ci].child_ids, key=lambda i: i.sort_key, reverse=True)
+        rows.append((ci.ctype, depth, not kids, ci.ctype in seen))
+        seen.add(ci.ctype)
+        stack.extend((kid, depth + 1) for kid in kids)
+    return rows
+
+
+def test_ctype_order_that_skips_seen_childless_children_equals_the_sorted_dfs():
+    rng = random.Random(20111)
+    depths, shapes = set(), dict.fromkeys(("single", "empty-composite", "ctype-at-several-depths"), 0)
+    for _ in range(1500):
+        config = random_tree(rng)
+        comps = list(config.components)
+        assert validate_configuration(config).ok
+        assert ctype_order(config) == reference_ctype_order(comps)
+        rows = dfs_rows(comps)
+        depths |= {depth for _, depth, childless, met in rows if childless and met}
+        shapes["single"] += len(comps) == 1
+        shapes["empty-composite"] += any(c.children == frozenset() for c in comps)
+        shapes["ctype-at-several-depths"] += any(
+            len({depth for t, depth, *_ in rows if t == ctype}) > 1 for ctype in CTYPES)
+    assert set(range(1, 9)) <= depths  # a seen ctype's leaf at every depth up to 8
+    assert min(shapes.values()) > 50, shapes
 
 
 def test_the_kept_index_cannot_be_corrupted_or_carried_over():

@@ -494,6 +494,67 @@ def test_canonical_and_scale_texts_take_the_production_reader():
         assert config_outcome(text)[0] is not None
 
 
+# What a scale-shaped text gets between two productions or inside one; the
+# reader declines or fails on most of them, the lexeme parser decides.
+EDITS = ("comment", "formfeed", "stray", "duplicate-handle", "empty-name", "empty-origin",
+         "huge-version", "contains-empty", "files-empty", "after-brace")
+
+
+def _edited(rnd: random.Random, text: str, edit: str) -> str:
+    """The canonical scale text with one edit, at a line boundary (between
+    two productions) or at a blank inside a production, chosen at random."""
+    lines = text.splitlines(keepends=True)
+    k = rnd.randrange(1, len(lines) - 1)  # a production line
+    line = lines[k]
+    if edit in ("comment", "formfeed", "stray"):
+        insert = {"comment": "# note\n", "formfeed": "\f",
+                  "stray": rnd.choice(("%", "@", ";", ",", "component", "42", '"s"', "]"))}[edit]
+        if rnd.random() < 0.5:
+            lines.insert(k, insert)
+        else:
+            blank = rnd.choice([i for i, ch in enumerate(line) if ch == " "])
+            lines[k] = line[:blank] + " " + insert + line[blank:]
+    elif edit == "duplicate-handle":
+        handle = lines[rnd.choice([j for j in range(1, len(lines) - 1) if j != k])].split()[1]
+        lines[k] = line.replace(line.split()[1], handle, 1)
+    elif edit in ("empty-name", "empty-origin"):
+        name, origin = re.search(r'\("([^"]*)", "([^"]*)"', line).groups()
+        lines[k] = (line.replace(f'("{name}"', '(""', 1) if edit == "empty-name"
+                    else line.replace(f'"{origin}",', '"",', 1))
+    elif edit == "huge-version":
+        lines[k] = re.sub(r"\d+\)", "9" * 4301 + ")", line, count=1)
+    elif edit == "contains-empty":
+        lines.insert(k, f'  component extra : Bin ("bin{rnd.randrange(20)}", "acme", 1) contains [];\n')
+    elif edit == "files-empty":
+        lines[k] = re.sub(r"(contains|files) \[[^\]]*\]", "files []", line, count=1)
+    else:  # after-brace
+        lines.append(rnd.choice(("x", "}", ";", "component", "# trailing\n", "\f", "\n\n")))
+    return "".join(lines)
+
+
+def test_edited_scale_texts_get_the_lexeme_parsers_outcome():
+    rnd = random.Random(0xED17)
+    read = dict.fromkeys(EDITS, 0)
+    for n in range(600):
+        edit = EDITS[n % len(EDITS)]
+        text = _edited(rnd, _scale_config(rnd), edit)
+        assert config_outcome(text) == lexeme_outcome(text), (edit, text)
+        read[edit] += read_by_productions(text)
+    # the reader reads the texts that stay in its grammar, and declines the rest
+    assert read["contains-empty"] == read["files-empty"] == 60
+    assert read["comment"] == read["formfeed"] == read["stray"] == 0
+    assert read["duplicate-handle"] == read["empty-name"] == read["empty-origin"] == 0
+
+
+def test_the_reader_reads_every_canonical_text():
+    # A reader that declined every text would agree with the lexeme parser
+    # on every text above, and read nothing.
+    rnd = random.Random(0xCA70)
+    for _ in range(50):
+        config = parse_config(_scale_config(rnd))
+        assert textfmt._read_productions(print_config(config)) is not None
+
+
 def test_trailing_comment_puts_the_end_at_its_hash():
     with pytest.raises(ParseError) as exc:
         parse_config("config x { # comment")

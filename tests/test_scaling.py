@@ -22,6 +22,15 @@ each id is hashed a few times while a text is read and validated, and about
 once by `compliant` on a validated configuration, which reads the id index
 and root validation kept.  It fails if a pass that rebuilds an index or a
 set of ids per call comes back (the code before had 8.8 and 4.0 here).
+
+The reader guard counts the calls `parse_config` makes per component at 4n.
+The reader matches every `component` production with one `findall`: about
+20 calls per component.  A reader that calls `match` once per production
+makes about 27, and the one before this guard, which also built every id
+and component through the checking constructors, made 35.  The `ctype_order`
+guard counts the ids it passes to `sorted`: each composite is sorted once
+among its parent's children, and leaves only under the first bin, before
+their ctype has been seen (sorting every child set gives 199).
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ from confkit import (
     validate_configuration,
     validate_spec,
 )
+from confkit import typecheck
 
 LEAVES_PER_BIN = 5
 SMALL_BINS, LARGE_BINS = 8, 33  # 2 + 6 * 8 = 50 and 2 + 6 * 33 = 200 components
@@ -214,3 +224,32 @@ def test_ids_are_hashed_a_bounded_number_of_times_per_component():
     assert count_id_hashes(parse_config, text) / 200 <= 5
     parsed = parse_config(text)
     assert count_id_hashes(compliant, parsed, SPEC) / 200 <= 1.5
+
+
+def test_the_reader_makes_a_bounded_number_of_calls_per_component():
+    text = print_config(tree(LARGE_BINS))
+    parse_config(text)  # the reader's patterns compile once, outside the count
+    assert call_events(parse_config, text) / 200 <= 24
+
+
+def test_the_reader_builds_through_the_private_constructors(monkeypatch):
+    # The grammar proved what the checking constructors would check again.
+    text, built = print_config(tree(SMALL_BINS)), []
+    for cls in (ComponentId, Component):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=cls.__init__, **kwargs:
+                            built.append(self) or _init(self, *args, **kwargs))
+    assert len(parse_config(text)) == 50 and built == []
+
+
+def test_ctype_order_sorts_only_children_that_can_add_a_ctype(monkeypatch):
+    config = parse_config(print_config(tree(LARGE_BINS)))
+    sorted_ids = []
+
+    def counted(ids, **kwargs):
+        sorted_ids.extend(ids)
+        return sorted(ids, **kwargs)
+
+    monkeypatch.setattr(typecheck, "sorted", counted, raising=False)
+    assert typecheck.ctype_order(config) == ["Root", "Bin", "Leaf", "Lib"]
+    composites = sum(1 for c in config if c.children)
+    assert len(sorted_ids) <= composites + LEAVES_PER_BIN

@@ -469,6 +469,28 @@ class TestPrinting:
         text = print_spec(SpecSet(frozenset({node})))
         assert "version: 2..2;" in text
 
+    def test_undeclared_children_and_dependencies_print_their_sanitized_names(self):
+        # Not a valid configuration: the child and the dependency are not
+        # members, so they have no handle and print under their name.
+        r = ComponentId("R", "r", "o", 1)
+        cfg = Configuration((Component.composite(
+            r, {ComponentId("T", "9 kid", "o", 1)}, [ComponentId("L", "lib.so", "o", 2)]),))
+        assert print_config(cfg) == (
+            "config r {\n"
+            '  component r : R ("r", "o", 1) contains [_9_kid] depends [lib_so];\n'
+            "}\n")
+
+    def test_each_handle_is_sanitized_once(self, psy2, monkeypatch):
+        import confkit.textfmt as textfmt
+
+        calls = []
+        sanitize = textfmt._sanitize
+        monkeypatch.setattr(textfmt, "_sanitize", lambda name: calls.append(name) or sanitize(name))
+        text = print_config(psy2)
+        assert len(calls) <= len(psy2) + 1  # one per handle, one for the config name
+        monkeypatch.undo()
+        assert text == print_config(psy2)
+
 
 # --------------------------------------------------------------------------
 # Round-trip properties
