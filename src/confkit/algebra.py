@@ -105,10 +105,6 @@ class Interval(_Value):
     def __contains__(self, count: int) -> bool:
         return self.lo <= count <= self.hi
 
-    @property
-    def unbounded(self) -> bool:
-        return self.hi == INF
-
     def __str__(self) -> str:
         return f"{self.lo}..{'*' if self.hi == INF else self.hi}"
 
@@ -175,10 +171,12 @@ class NameSet(_Value):
         return (all(map(str.startswith, self.literals - other.literals, repeat(covering)))
                 and all(map(str.startswith, self.prefixes, repeat(covering))))
 
-    def union(self, other: NameSet) -> NameSet:
-        if self.is_any or other.is_any:
+    def union(self, *others: NameSet) -> NameSet:
+        parts = (self, *others)
+        if any(p.is_any for p in parts):
             return NameSet(is_any=True)
-        return NameSet(self.literals | other.literals, self.prefixes | other.prefixes)
+        return NameSet(frozenset().union(*(p.literals for p in parts)),
+                       frozenset().union(*(p.prefixes for p in parts)))
 
 
 class OriginSet(_Value):
@@ -208,10 +206,11 @@ class OriginSet(_Value):
             return False
         return self.values <= other.values
 
-    def union(self, other: OriginSet) -> OriginSet:
-        if self.is_any or other.is_any:
+    def union(self, *others: OriginSet) -> OriginSet:
+        parts = (self, *others)
+        if any(p.is_any for p in parts):
             return OriginSet(is_any=True)
-        return OriginSet(self.values | other.values)
+        return OriginSet(frozenset().union(*(p.values for p in parts)))
 
 
 class VersionSet(_Value):
@@ -220,7 +219,8 @@ class VersionSet(_Value):
     "any" is the span 0..*.  Exactly one of ``values``/``span`` is set.
     Equality is by denotation: a contiguous finite set equals the span with
     the same bounds.  Unions are exact between finite sets; a union touching
-    a span falls back to the smallest enclosing span (an upper bound).
+    a span falls back to the smallest span enclosing every non-empty part
+    (an upper bound), so an empty finite set is the identity.
     """
 
     __slots__ = ("values", "span")
@@ -289,23 +289,15 @@ class VersionSet(_Value):
             return False
         return all(v in other.values for v in range(self.span.lo, int(self.span.hi) + 1))
 
-    def union(self, other: VersionSet) -> VersionSet:
-        if self.values is not None and other.values is not None:
-            return VersionSet(values=self.values | other.values)
-        if self.values == frozenset():
-            return other
-        if other.values == frozenset():
-            return self
-        parts = []
-        for vs in (self, other):
-            if vs.span is not None:
-                parts.append((vs.span.lo, vs.span.hi))
-            else:
-                assert vs.values is not None
-                parts.append((min(vs.values), max(vs.values)))
-        lo = min(p[0] for p in parts)
-        hi = max(p[1] for p in parts)
-        return VersionSet(span=Interval(lo, hi))
+    def union(self, *others: VersionSet) -> VersionSet:
+        parts = (self, *others)
+        values = frozenset().union(*(p.values for p in parts if p.values is not None))
+        ends = [(p.span.lo, p.span.hi) for p in parts if p.span is not None]
+        if not ends:
+            return VersionSet(values=values)
+        if values:
+            ends.append((min(values), max(values)))
+        return VersionSet.between(min(lo for lo, _ in ends), max(hi for _, hi in ends))
 
 
 class ComponentId(_Value):
@@ -376,14 +368,18 @@ class AbstractComponentId(_Value):
         _set(self, "origins", origins)
         _set(self, "versions", versions)
 
-    def merge(self, other: AbstractComponentId) -> AbstractComponentId:
-        if self.ctype != other.ctype:
-            raise TypeMismatch(f"cannot merge {self.ctype} with {other.ctype}")
+    def merge(self, *others: AbstractComponentId) -> AbstractComponentId:
+        """The smallest family holding this one and every other; all share one ctype."""
+        if not others:
+            return self
+        for other in others:
+            if other.ctype != self.ctype:
+                raise TypeMismatch(f"cannot merge {self.ctype} with {other.ctype}")
         return AbstractComponentId(
             ctype=self.ctype,
-            names=self.names.union(other.names),
-            origins=self.origins.union(other.origins),
-            versions=self.versions.union(other.versions),
+            names=self.names.union(*(o.names for o in others)),
+            origins=self.origins.union(*(o.origins for o in others)),
+            versions=self.versions.union(*(o.versions for o in others)),
         )
 
     def __le__(self, other: AbstractComponentId) -> bool:
@@ -404,57 +400,11 @@ class AbstractComponentId(_Value):
 
 
 def merge_identifiers(acis: Iterable[AbstractComponentId]) -> AbstractComponentId:
-    """Merge a non-empty iterable of same-ctype identifiers in one pass.
-
-    Equal to folding `AbstractComponentId.merge` over them: names, origins
-    and versions are unioned once and normalized once.  A version span
-    anywhere gives the smallest span enclosing every non-empty part; an
-    empty version set is the identity.
-    """
+    """`AbstractComponentId.merge` of a non-empty iterable of same-ctype identifiers."""
     items = list(acis)
     if not items:
         raise ValueError("merge_identifiers needs at least one identifier")
-    first = items[0]
-    if len(items) == 1:
-        return first
-    literals: set[str] = set()
-    prefixes: set[str] = set()
-    origins: set[str] = set()
-    values: set[int] = set()
-    spans: list[Interval] = []
-    any_name = any_origin = False
-    for aci in items:
-        if aci.ctype != first.ctype:
-            raise TypeMismatch(f"cannot merge {first.ctype} with {aci.ctype}")
-        names, froms, versions = aci.names, aci.origins, aci.versions
-        if names.is_any:
-            any_name = True
-        else:
-            literals.update(names.literals)
-            prefixes.update(names.prefixes)
-        if froms.is_any:
-            any_origin = True
-        else:
-            origins.update(froms.values)
-        if versions.span is not None:
-            spans.append(versions.span)
-        else:
-            assert versions.values is not None
-            values.update(versions.values)
-    if spans:
-        lo = min(s.lo for s in spans)
-        hi = max(s.hi for s in spans)
-        if values:
-            lo, hi = min(lo, min(values)), max(hi, max(values))
-        merged = VersionSet(span=Interval(lo, hi))
-    else:
-        merged = VersionSet(values=frozenset(values))
-    return AbstractComponentId(
-        ctype=first.ctype,
-        names=NameSet(is_any=True) if any_name else NameSet(frozenset(literals), frozenset(prefixes)),
-        origins=OriginSet(is_any=True) if any_origin else OriginSet(frozenset(origins)),
-        versions=merged,
-    )
+    return items[0].merge(*items[1:])
 
 
 def lift_identifiers(ids: Iterable[ComponentId]) -> AbstractComponentId:

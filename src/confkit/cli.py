@@ -322,10 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         for violation in exc.report.violations:
             print(f"  [{violation.condition}] {violation.message}", file=sys.stderr)
         return 2
-    except (ParseError, LifecycleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, LifecycleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,13 +27,10 @@ def unify_dependencies(
     a: Iterable[AbstractComponentId], b: Iterable[AbstractComponentId]
 ) -> frozenset[AbstractComponentId]:
     """Union of two dependency sets, merging entries of the same ctype."""
-    by_type: dict[str, AbstractComponentId] = {}
-    for aci in sorted(list(a) + list(b), key=lambda x: x.ctype):
-        if aci.ctype in by_type:
-            by_type[aci.ctype] = by_type[aci.ctype].merge(aci)
-        else:
-            by_type[aci.ctype] = aci
-    return frozenset(by_type.values())
+    groups: dict[str, list[AbstractComponentId]] = {}
+    for aci in (*a, *b):
+        groups.setdefault(aci.ctype, []).append(aci)
+    return frozenset(first.merge(*rest) for first, *rest in groups.values())
 
 
 def unify_children(

@@ -308,7 +308,11 @@ def apply(
 
 def undo(config: Configuration, entry: JournalEntry) -> Configuration:
     """Apply the entry's inverse, restoring the configuration the entry was
-    produced from.  No spec gate: the restored state was accepted before."""
+    produced from.  No spec gate: the restored state was accepted before.
+
+    The entry's change, applied again to the result, must give back `config`;
+    otherwise `config` is not what the entry produced (it was edited where
+    the change wrote) and undoing would keep only part of that edit."""
     try:
         result = _apply_raw(config, entry.inverse)
     except (LifecycleError, ValueError) as exc:
@@ -317,4 +321,10 @@ def undo(config: Configuration, entry: JournalEntry) -> Configuration:
     if not report.ok:
         raise JournalMismatch(
             f"undo result is not a valid configuration: {report.errors[0].message}")
+    try:
+        redone = set(_apply_raw(result, entry.change))
+    except (LifecycleError, ValueError):
+        redone = None
+    if redone != set(config):
+        raise JournalMismatch("configuration differs from what the entry produced")
     return result

@@ -228,10 +228,6 @@ class ComponentSpec(_Value):
     def slot_for(self, ctype: str) -> ChildSlot | None:
         return self._slots.get(ctype)
 
-    @property
-    def child_types(self) -> frozenset[str]:
-        return frozenset(self._slots)
-
 
 class SpecSet(_Value):
     """A set of spec nodes, at most one per ctype.
@@ -445,15 +441,12 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
                 "interval-sum", (cs.ctype,),
                 f"{cs.ctype}: children counts sum to {child_sum}, "
                 f"not included in total {cs.total}"))
-        if cs.children:
-            lows = sum(slot.count.lo for slot in cs.children)
-            highs = sum_intervals(slot.count for slot in cs.children).hi
-            if not (lows <= cs.total.lo and cs.total.hi <= highs):
-                violations.append(Violation(
-                    "child-sum-advisory", (cs.ctype,),
-                    f"{cs.ctype}: total {cs.total} is not bracketed by "
-                    f"the children sums [{lows}, {highs}]",
-                    severity="warning"))
+        if cs.children and not cs.total.included_in(child_sum):
+            violations.append(Violation(
+                "child-sum-advisory", (cs.ctype,),
+                f"{cs.ctype}: total {cs.total} is not bracketed by "
+                f"the children sums [{child_sum.lo}, {child_sum.hi}]",
+                severity="warning"))
 
     report = ValidationReport(tuple(violations))
     if isinstance(spec, SpecSet):

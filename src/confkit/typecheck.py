@@ -280,13 +280,6 @@ def direct_check(
     return ComplianceVerdict.from_failures(failures)
 
 
-def _counterpart(a: ComponentId, b: ComponentId, *, composite_a: bool, relaxed: bool) -> bool:
-    """b is the same component as a, whatever its version: same ctype and
-    origin, and the same name unless a is a composite under relaxed matching."""
-    return (a.ctype == b.ctype and a.origin == b.origin
-            and (a.name == b.name or (relaxed and composite_a)))
-
-
 def ci_compat_leq(
     a: ComponentId,
     b: ComponentId,
@@ -296,10 +289,12 @@ def ci_compat_leq(
 ) -> bool:
     """b can stand in for a: same identity, same or newer version.
 
-    Composites are allowed to change name across releases unless relaxed
-    matching is turned off.
+    Same identity means the same ctype and origin, and the same name unless
+    a is a composite under relaxed matching: composites are allowed to
+    change name across releases unless relaxed matching is turned off.
     """
-    return _counterpart(a, b, composite_a=composite_a, relaxed=relaxed) and a.version <= b.version
+    return (a.ctype == b.ctype and a.origin == b.origin
+            and (a.name == b.name or (relaxed and composite_a)) and a.version <= b.version)
 
 
 def _stand_in_reasons(a: Configuration, b: Configuration, relaxed: bool) -> list[CompatReason]:
@@ -307,7 +302,7 @@ def _stand_in_reasons(a: Configuration, b: Configuration, relaxed: bool) -> list
     only counterparts at older versions.  The newest version of b per
     (ctype, origin, name), and per (ctype, origin) for the composites
     relaxed matching renames, is looked up instead of scanning b for each
-    component of a; the relation is `_counterpart`'s."""
+    component of a; the relation is `ci_compat_leq`'s."""
     by_name: dict[tuple, int] = {}
     by_origin: dict[tuple, int] = {}
     for cb in b:

@@ -20,7 +20,8 @@ import pytest
 
 import confkit
 from confkit.cli import main
-from confkit.textfmt import check_spec_text, parse_config, parse_journal, parse_spec
+from confkit.textfmt import (
+    check_config_text, check_spec_text, parse_config, parse_journal, parse_spec)
 
 from conftest import (
     FIXTURES,
@@ -197,6 +198,48 @@ class TestCheck:
         assert all(set(f) == {"subject", "clause", "detail"} for f in payload["failures"])
         clauses = {f["clause"] for f in payload["failures"]}
         assert "unexpected-child-type" in clauses
+
+
+class TestInvalidInputs:
+    """`check` and `compat` on a file that parses but is not a valid
+    configuration or spec: exit 2, an `error:` line, then one line per
+    violation of the report, warnings included."""
+
+    @staticmethod
+    def assert_report_on_stderr(err, report):
+        assert report.violations
+        lines = err.splitlines()
+        assert lines[0].startswith("error: not a valid configuration")
+        assert lines[1:] == [f"  [{v.condition}] {v.message}" for v in report.violations]
+
+    def test_check_refuses_an_invalid_configuration(self, ws, tmp_path, capsys):
+        path = tmp_path / "two-roots.cg"
+        path.write_text(TWO_ROOTS)
+        code, out, err = run(capsys, "check", str(path), str(ws / "psycho.csg"))
+        assert (code, out) == (2, "")
+        self.assert_report_on_stderr(err, check_config_text(TWO_ROOTS)[1])
+
+    def test_check_refuses_an_invalid_spec(self, ws, tmp_path, capsys):
+        path = tmp_path / "bad-sum.csg"
+        path.write_text(BAD_SUM_SPEC)
+        code, out, err = run(capsys, "check", str(ws / "psy1.cg"), str(path))
+        assert (code, out) == (2, "")
+        report = check_spec_text(BAD_SUM_SPEC)[1]
+        assert {v.severity for v in report.violations} == {"error", "warning"}
+        self.assert_report_on_stderr(err, report)
+
+    def test_compat_refuses_an_invalid_configuration_or_spec(self, ws, tmp_path, capsys):
+        config, spec = tmp_path / "two-roots.cg", tmp_path / "bad-sum.csg"
+        config.write_text(TWO_ROOTS)
+        spec.write_text(BAD_SUM_SPEC)
+        code, out, err = run(capsys, "compat", str(ws / "psy1.cg"), str(config),
+                             "--spec", str(ws / "psycho.csg"))
+        assert (code, out) == (2, "")
+        self.assert_report_on_stderr(err, check_config_text(TWO_ROOTS)[1])
+        code, out, err = run(capsys, "compat", str(ws / "psy1.cg"), str(ws / "psy2.cg"),
+                             "--spec", str(spec))
+        assert (code, out) == (2, "")
+        self.assert_report_on_stderr(err, check_spec_text(BAD_SUM_SPEC)[1])
 
 
 # --------------------------------------------------------------------------
@@ -469,6 +512,41 @@ class TestApplyUndo:
         code, _, err = run(capsys, "undo", str(app))
         assert code == 2
         assert err.startswith("error:")
+
+    def test_undo_refuses_a_file_edited_where_the_entry_wrote(self, ws, capsys):
+        # The upgrade replaced three of the four leaves; an outside edit of
+        # all four cannot be undone without losing part of it.
+        app = ws / "app.cg"
+        shutil.copy(ws / "psy1.cg", app)
+        journal = ws / "app.cg.journal"
+        code, _, _ = run(capsys, "apply", str(app), str(ws / "upgrade-to-v2.json"),
+                         "--spec", str(ws / "psycho.csg"))
+        assert code == 0
+        text = app.read_text()
+        assert text.count("files [];") == 4
+        app.write_text(text.replace("files [];", 'files ["x"];'))
+        before, journal_before = app.read_bytes(), journal.read_bytes()
+        code, out, err = run(capsys, "undo", str(app))
+        assert (code, out) == (1, "")
+        assert err.startswith("rejected:")
+        assert app.read_bytes() == before
+        assert journal.read_bytes() == journal_before
+
+    def test_undo_keeps_an_outside_edit_the_entry_did_not_touch(self, ws, capsys):
+        app = ws / "app.cg"
+        shutil.copy(ws / "psy1.cg", app)
+        code, _, _ = run(capsys, "apply", str(app), str(ws / "upgrade-to-v2.json"),
+                         "--spec", str(ws / "psycho.csg"))
+        assert code == 0
+        untouched = 'component def_psc : PScr ("def.psc", "IMsk", 1) files [];'
+        edited = untouched.replace("files []", 'files ["x"]')
+        app.write_text(app.read_text().replace(untouched, edited))
+        code, _, _ = run(capsys, "undo", str(app))
+        assert code == 0
+        expected = (FIXTURES / "psy1.cg").read_text().replace(untouched, edited)
+        assert app.read_text() == expected
+        assert len(parse_journal((ws / "app.cg.journal").read_text())) == 2
+        assert run(capsys, "check", str(app), str(ws / "psycho.csg"))[0] == 0
 
     def test_undo_without_a_journal_exits_2(self, ws, capsys):
         code, _, err = run(capsys, "undo", str(ws / "psy1.cg"))

@@ -1,9 +1,11 @@
 """The linear checking core against the algorithms it replaced.
 
 `infer` builds one node per ctype in a grouped pass, `merge_identifiers`
-unions every part once, and `_stand_in_reasons` looks counterparts up in an
-index.  Each is compared here, on seeded random inputs, with the quadratic
-algorithm it replaced, kept in this file as the reference.  So is
+and n-ary `merge` union every part once, and `_stand_in_reasons` looks
+counterparts up in an index.  Each is compared here, on seeded random
+inputs, with the quadratic algorithm it replaced, kept in this file as the
+reference; the reference merge is a fold of binary unions written against
+the public fields, so it shares no code with the unions it checks.  So is
 `validate_configuration`, which walks a well-formed tree by counting and
 keeps its id index and root on the value for `root_of`, `by_id` and
 `ctype_order`, against the reachable-set walk and the fresh computations;
@@ -14,6 +16,7 @@ of a ctype already seen, against the DFS that sorts every child set.
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 import random
 from functools import reduce
@@ -43,6 +46,7 @@ from confkit import (
     print_config,
     root_of,
     unify,
+    unify_dependencies,
     validate_configuration,
 )
 from confkit.model import ValidationReport, Violation
@@ -79,8 +83,37 @@ def reference_infer(config: Configuration, faithful_leaf_rule: bool) -> SpecSet:
     return reduce(unify, (reference_infer_component(c, faithful_leaf_rule) for c in config))
 
 
+def reference_union(x: AbstractComponentId, y: AbstractComponentId) -> AbstractComponentId:
+    """The binary merge of two families, on their public fields: names and
+    origins union exactly unless either is "any"; versions union exactly
+    between finite sets, an empty finite set is the identity, and anything
+    else gives the smallest span enclosing both."""
+    if x.ctype != y.ctype:
+        raise TypeMismatch(f"cannot merge {x.ctype} with {y.ctype}")
+    if x.names.is_any or y.names.is_any:
+        names = NameSet.everything()
+    else:
+        names = NameSet(x.names.literals | y.names.literals, x.names.prefixes | y.names.prefixes)
+    if x.origins.is_any or y.origins.is_any:
+        origins = OriginSet.everything()
+    else:
+        origins = OriginSet(x.origins.values | y.origins.values)
+    a, b = x.versions, y.versions
+    if a.values is not None and b.values is not None:
+        versions = VersionSet(values=a.values | b.values)
+    elif a.values == frozenset():
+        versions = b
+    elif b.values == frozenset():
+        versions = a
+    else:
+        ends = [(v.span.lo, v.span.hi) if v.span is not None else (min(v.values), max(v.values))
+                for v in (a, b)]
+        versions = VersionSet.between(min(lo for lo, _ in ends), max(hi for _, hi in ends))
+    return AbstractComponentId(x.ctype, names, origins, versions)
+
+
 def reference_merge(acis) -> AbstractComponentId:
-    return reduce(lambda acc, aci: acc.merge(aci), acis)
+    return reduce(reference_union, acis)
 
 
 def reference_stand_in_reasons(a: Configuration, b: Configuration, relaxed: bool) -> list:
@@ -357,8 +390,63 @@ def test_one_pass_merge_equals_the_pairwise_fold():
     rng = random.Random(20102)
     for _ in range(3000):
         acis = [random_aci(rng) for _ in range(rng.randint(1, 6))]
-        assert same_representation(merge_identifiers(acis), reference_merge(acis))
-        assert same_representation(merge_identifiers(iter(acis)), reference_merge(acis))
+        expected = reference_merge(acis)
+        assert same_representation(merge_identifiers(acis), expected)
+        assert same_representation(merge_identifiers(iter(acis)), expected)
+        assert same_representation(acis[0].merge(*acis[1:]), expected)
+
+
+VERSION_PARTS = (VersionSet.of(), VersionSet.of(2), VersionSet.of(0, 6),
+                 VersionSet.between(3, 4), VersionSet.between(5, INF), VersionSet.everything())
+
+
+def test_many_part_merges_mix_every_kind_of_part():
+    # every sequence of three empty, finite and span version sets, with
+    # "any" names or origins in one part, or a fourth all-"any" part
+    rng = random.Random(20106)
+    everything = AbstractComponentId("T", versions=VersionSet.of())
+    for versions in itertools.product(VERSION_PARTS, repeat=3):
+        for variant in range(4):
+            acis = [random_aci(rng).replace(versions=v) for v in versions]
+            if variant == 1:
+                acis[1] = acis[1].replace(names=NameSet.everything())
+            elif variant == 2:
+                acis[2] = acis[2].replace(origins=OriginSet.everything())
+            elif variant == 3:
+                acis.insert(rng.randrange(4), everything)
+            expected = reference_merge(acis)
+            assert same_representation(merge_identifiers(acis), expected)
+            assert same_representation(acis[0].merge(*acis[1:]), expected)
+            assert expected.names.is_any or variant not in (1, 3)
+            assert expected.origins.is_any or variant not in (2, 3)
+
+
+def test_many_part_merge_golden():
+    parts = [AbstractComponentId("T", NameSet.of("a"), OriginSet.of("o1"), VersionSet.of()),
+             AbstractComponentId("T", NameSet(prefixes={"b"}), OriginSet.of("o2"),
+                                 VersionSet.of(6)),
+             AbstractComponentId("T", NameSet.of("bc", "c"), OriginSet.of(), VersionSet.of(1))]
+    assert same_representation(merge_identifiers(parts), AbstractComponentId(
+        "T", NameSet({"a", "c"}, {"b"}), OriginSet.of("o1", "o2"), VersionSet.of(1, 6)))
+    spanned = parts + [parts[0].replace(names=NameSet.everything(),
+                                        versions=VersionSet.between(3, 4))]
+    assert same_representation(merge_identifiers(spanned), AbstractComponentId(
+        "T", NameSet.everything(), OriginSet.of("o1", "o2"), VersionSet.between(1, 6)))
+
+
+def test_unify_dependencies_merges_each_ctype_once():
+    rng = random.Random(20107)
+    for _ in range(500):
+        a = [random_aci(rng, rng.choice(CTYPES)) for _ in range(rng.randint(0, 4))]
+        b = [random_aci(rng, rng.choice(CTYPES)) for _ in range(rng.randint(0, 4))]
+        groups: dict[str, list] = {}
+        for aci in a + b:
+            groups.setdefault(aci.ctype, []).append(aci)
+        expected = {ctype: reference_merge(group) for ctype, group in groups.items()}
+        got = unify_dependencies(a, b)
+        assert len(got) == len(expected)
+        for aci in got:
+            assert same_representation(aci, expected[aci.ctype])
 
 
 def test_one_pass_merge_rejects_mixed_ctypes_like_the_fold():

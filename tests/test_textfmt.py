@@ -506,6 +506,33 @@ class TestRoundTrips:
         assert reparsed.specs == spec.specs
         assert print_spec(reparsed) == text
 
+    def test_any_fields_and_dependency_constraints_round_trip(self):
+        # `name: any;` and `origin: any;` are read, in a node and in a
+        # dependency entry, and printed as omitted fields; a dependency
+        # narrower than its target's node prints all three constraints.
+        text = (
+            "spec s {"
+            " node R { name: any; origin: any; total: 3..3;"
+            "   contains { App: 1..1, Lib: 1..1, Tool: 1..1 } }"
+            ' node App { origin: "acme"; total: 0..0;'
+            '   depends { Lib(name: "libc"; origin: "gnu"; version: 2..3;),'
+            "             Tool(name: any; origin: any; version: 1;) } }"
+            ' node Lib { name: "lib"*; origin: "acme" | "gnu"; version: 1..5; total: 0..0; }'
+            " node Tool { name: any; origin: any; total: 0..0; }"
+            " root R; }"
+        )
+        spec = parse_spec(text)
+        assert spec.spec_for("R").aci.names.is_any and spec.spec_for("R").aci.origins.is_any
+        deps = {d.ctype: d for d in spec.spec_for("App").dependencies}
+        assert deps["Tool"].names.is_any and deps["Tool"].origins.is_any
+        printed = print_spec(spec)
+        assert "any" not in printed
+        assert ('    depends { Lib(name: "libc"; origin: "gnu"; version: 2..3;),'
+                " Tool(version: 1..1;) }\n") in printed
+        reparsed = parse_spec(printed)
+        assert reparsed.specs == spec.specs
+        assert print_spec(reparsed) == printed
+
     @settings(max_examples=200)
     @given(configurations())
     def test_config_print_parse_identity(self, cfg):
