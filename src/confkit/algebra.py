@@ -30,7 +30,6 @@ def _check_nat(value: object, what: str) -> None:
 
 # Sets a slot of a value under construction; the values refuse `setattr`.
 _set = object.__setattr__
-_new = object.__new__
 
 
 class _Value:
@@ -78,6 +77,16 @@ class _Value:
     def replace(self, **changes: object):
         """A copy of this value with the given fields changed."""
         return self.__class__(**dict(zip(self._fields, self._astuple(self)), **changes))
+
+    @classmethod
+    def _columns(cls, *columns: Iterable) -> list:
+        """`len(columns[0])` values, the k-th public field of each taken from
+        the k-th column, unchecked: for a reader whose grammar already proved
+        what `__init__` checks.  Each field is set by one `map` over its slot."""
+        values = list(map(object.__new__, repeat(cls, len(columns[0]))))
+        for field, column in zip(cls._fields, columns):
+            any(map(getattr(cls, field).__set__, values, column))  # each __set__ returns None
+        return values
 
 
 class Interval(_Value):
@@ -314,16 +323,6 @@ class ComponentId(_Value):
         _set(self, "name", name)
         _set(self, "origin", origin)
         _set(self, "version", version)
-
-    @classmethod
-    def _trusted(cls, ctype: str, name: str, origin: str, version: int) -> ComponentId:
-        """An id from fields a grammar already proved: non-empty, and a natural version."""
-        self = _new(cls)
-        _set(self, "ctype", ctype)
-        _set(self, "name", name)
-        _set(self, "origin", origin)
-        _set(self, "version", version)
-        return self
 
     # Ids are hashed and compared most: these two read the slots inline.  A subclass may
     # add fields, so it gets _Value's unless it or a class between defines its own.

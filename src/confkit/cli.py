@@ -25,7 +25,7 @@ from .lifecycle import (
     apply,
     undo,
 )
-from .model import InvalidSpec, NotAConfiguration, root_of
+from .model import InvalidSpec, NotAConfiguration, ValidationReport, root_of
 from .textfmt import (
     ParseError,
     check_config_text,
@@ -55,9 +55,17 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _append_journal(path: str, entry: JournalEntry) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(journal_entry_to_line(entry) + "\n")
+def _commit(path: str, text: str, journal_path: str, entry: JournalEntry) -> None:
+    """Rewrite the configuration and append its journal entry.  The journal
+    is opened first, so one that cannot be written leaves the file untouched."""
+    with open(journal_path, "a", encoding="utf-8") as journal:
+        _write(path, text)
+        journal.write(journal_entry_to_line(entry) + "\n")
+
+
+def _violation_lines(report: ValidationReport) -> list[str]:
+    return [f"  {'warning' if v.severity == 'warning' else 'violation'} [{v.condition}] {v.message}"
+            for v in report.violations]
 
 
 def _emit(fmt: str, payload: dict, lines: list[str]) -> None:
@@ -87,10 +95,7 @@ def cmd_validate(args: argparse.Namespace, fmt: str) -> int:
         lines.append(f"ok: {path} is a well-formed {kind}")
     else:
         lines.append(f"invalid {kind}: {path}")
-    for v in report.violations:
-        mark = "warning" if v.severity == "warning" else "violation"
-        lines.append(f"  {mark} [{v.condition}] {v.message}")
-    _emit(fmt, payload, lines)
+    _emit(fmt, payload, lines + _violation_lines(report))
     return 0 if report.ok else 1
 
 
@@ -174,8 +179,7 @@ def cmd_apply(args: argparse.Namespace, fmt: str) -> int:
     if args.dry_run:
         _emit(fmt, payload, [text.rstrip("\n")])
         return 0
-    _write(args.config, text)
-    _append_journal(journal_path, entry)
+    _commit(args.config, text, journal_path, entry)
     _emit(fmt, payload, [f"applied: {args.config} rewritten (journal seq {seq})"])
     return 0
 
@@ -201,10 +205,9 @@ def cmd_undo(args: argparse.Namespace, fmt: str) -> int:
     target = open_stack[-1]
     restored = undo(config, target)
     text = print_config(restored)
-    _write(args.config, text)
     reversal = JournalEntry(change=target.inverse, inverse=target.change,
                             seq=len(entries), undoes=target.seq)
-    _append_journal(journal_path, reversal)
+    _commit(args.config, text, journal_path, reversal)
     payload = {
         "command": "undo",
         "undone_seq": target.seq,
@@ -318,9 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"rejected: {exc}", file=sys.stderr)
         return 1
     except (NotAConfiguration, InvalidSpec) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for violation in exc.report.violations:
-            print(f"  [{violation.condition}] {violation.message}", file=sys.stderr)
+        print("\n".join([f"error: {exc}", *_violation_lines(exc.report)]), file=sys.stderr)
         return 2
     except (ParseError, LifecycleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ raises on bad input; it returns a report listing every violated condition.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -16,7 +17,6 @@ from .algebra import (
     AbstractComponentId,
     ComponentId,
     Interval,
-    _new,
     _set,
     _Value,
     sum_intervals,
@@ -88,6 +88,7 @@ _EMPTY: frozenset = frozenset()
 
 
 _sort_key = attrgetter("sort_key")
+_id_of, _children_of, _dependencies_of = attrgetter("id"), attrgetter("children"), attrgetter("dependencies")
 
 
 def _frozen(items: Iterable) -> frozenset:
@@ -109,19 +110,8 @@ class Component(_Value):
         dependencies = _frozen(dependencies)
         if (elements is None) == (children is None):
             raise ValueError(f"{id}: exactly one of elements/children required")
-        self._fill(id, dependencies, None if elements is None else _frozen(elements),
-                   None if children is None else _frozen(children))
-
-    @classmethod
-    def _trusted(cls, *fields: object) -> Component:
-        """A component a parser read, whose grammar gave exactly one of
-        elements/children; each empty set must be `_EMPTY`."""
-        self = _new(cls)
-        self._fill(*fields)
-        return self
-
-    def _fill(self, id: ComponentId, dependencies: frozenset[ComponentId],
-              elements: frozenset[str] | None, children: frozenset[ComponentId] | None) -> None:
+        elements = None if elements is None else _frozen(elements)
+        children = None if children is None else _frozen(children)
         overlap = children and dependencies & children
         if overlap:
             raise ValueError(f"{id}: dependencies overlap children: {sorted(str(i) for i in overlap)}")
@@ -279,7 +269,7 @@ def validate_configuration(config: Configuration | Iterable[Component]) -> Valid
 
     # Sets built from sets or dicts reuse the hashes kept there: each id is hashed
     # once here, membership is tested in bulk and only reported ids get sorted.
-    ids = [c.id for c in components]
+    ids = list(map(_id_of, components))
     by_id = dict(zip(ids, components))
     declared = set(by_id)
     if len(declared) < len(ids):
@@ -292,9 +282,9 @@ def validate_configuration(config: Configuration | Iterable[Component]) -> Valid
                 violations.append(Violation(
                     "duplicate-id", (str(i),), f"component id {i} declared {n} times"))
 
-    child_sets = [c.children or _EMPTY for c in components]
+    child_sets = list(filter(None, map(_children_of, components)))  # the non-empty ones
     referenced = frozenset().union(*child_sets)
-    if not declared.issuperset(referenced.union(*[c.dependencies for c in components])):
+    if not declared.issuperset(referenced.union(*map(_dependencies_of, components))):
         for c in components:
             for child in sorted(c.child_ids.difference(declared), key=_sort_key):
                 violations.append(Violation(
@@ -331,12 +321,13 @@ def validate_configuration(config: Configuration | Iterable[Component]) -> Valid
     # The four conditions above admit child-cycles detached from the root;
     # the parent relation is only a tree if everything is reachable from it.
     # When they all hold, the walk from the root meets no id twice, so it
-    # need only count; when it falls short, the walk below names the rest.
+    # need only count, a level of the tree at a time; when it falls short,
+    # the walk below names the rest.
     root = by_id[root_ids[0]] if len(root_ids) == 1 else None
-    stack, walked = [root] if root is not None and not violations else [], 0
-    while stack:
-        walked += 1
-        stack.extend(map(by_id.__getitem__, stack.pop().children or _EMPTY))
+    level, walked = [root] if root is not None and not violations else [], 0
+    while level:
+        walked += len(level)
+        level = list(map(by_id.__getitem__, chain.from_iterable(filter(None, map(_children_of, level)))))
     if root is not None and walked < len(components) and not any(
             v.condition == "duplicate-id" for v in violations):
         reachable: set[ComponentId] = set()

@@ -19,7 +19,8 @@ from __future__ import annotations
 import functools
 import json
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from itertools import compress
 
 from .algebra import (
     INF,
@@ -256,7 +257,7 @@ class _Parser:
         self.i += 1
         return value
 
-    def items(self, read: Callable[[str], str], what: str) -> list[str]:
+    def items(self, read: Callable[[str], str], what: str) -> tuple[str, ...]:
         """`[x, ...]`, each x given by `read(what)`; the list may be empty
         and end with `,`."""
         self.take("[")
@@ -266,7 +267,7 @@ class _Parser:
             if not self.skip(","):
                 break
         self.take("]")
-        return items
+        return tuple(items)
 
     # shared value productions ---------------------------------------------
 
@@ -494,10 +495,12 @@ def parse_spec(text: str, filename: str = "<spec>") -> SpecSet:
 # --------------------------------------------------------------------------
 # Configuration files
 
-def _component(p: _Parser) -> tuple[str, ComponentId, list[str] | None, list[str] | None, list[str]]:
+def _component(p: _Parser) -> tuple:
     """`component h : T ("name", "origin", v) (contains [h, ...] | files ["f", ...])
-    (depends [h, ...])? ;`.  Returns the handle, the id, and the children's
-    handles, the files and the dependencies' handles."""
+    (depends [h, ...])? ;`.  Returns the index of `component`, the handle,
+    the id's fields, and the children's handles, the files and the
+    dependencies' handles, each a tuple, or '' where the list is absent."""
+    at = p.i
     p.take("component")
     handle = p.ident("a component handle")
     p.take(":")
@@ -509,43 +512,57 @@ def _component(p: _Parser) -> tuple[str, ComponentId, list[str] | None, list[str
     p.take(",")
     version = p.nat("a version")
     p.take(")")
-    children = files = None
+    children = files = ""
     if p.skip("contains"):
         children = p.items(p.ident, "a component handle")
     elif p.skip("files"):
         files = p.items(p.string, "a file name")
     else:
         raise p.fail("'contains' or 'files'")
-    depends = p.items(p.ident, "a component handle") if p.skip("depends") else []
+    depends = p.items(p.ident, "a component handle") if p.skip("depends") else ""
     p.take(";")
-    return handle, ComponentId._trusted(ctype, name, origin, version), children, files, depends
+    return at, handle, ctype, name, origin, version, children, files, depends
 
 
-def _assemble(ids: dict[str, ComponentId], raw: list, p: _Parser | None) -> tuple[Configuration | None, ValidationReport]:
-    """Resolve the handles of the raw entries (lexeme index, id, children,
-    files, depends), build the components and validate.  Overlapping lists
-    raise a ParseError at that lexeme with `p`, else the ValueError."""
-    def resolve(handles: list[str]) -> frozenset[ComponentId]:
+def _assemble(columns: Sequence, words: Callable = tuple, strings: Callable = tuple,
+              p: _Parser | None = None, at: Sequence[int] = ()) -> tuple[Configuration | None, ValidationReport]:
+    """Build and validate a configuration from its columns, one item per
+    component: handles, ctypes, names, origins, versions, and the lists of
+    children (handles), files and dependencies (handles), '' where absent.
+    `words` and `strings` split a list into its items; each distinct list
+    is split and resolved once, so equal lists share one set.  Overlapping
+    contains/depends lists raise a ParseError at lexeme `at[k]` with `p`,
+    else `Component`'s ValueError."""
+    handles, *fields, children, files, depends = columns
+    ids = ComponentId._columns(*fields)
+    by_handle = dict(zip(handles, ids))
+
+    def resolve(handle_list: object) -> frozenset[ComponentId]:
         # Unknown handles become placeholder ids so validation can report
         # the closure violation instead of the parser guessing.
-        found = frozenset(map(ids.get, handles))
-        return frozenset([ids.get(h) or ComponentId("?", h, "?", 0) for h in handles]) if None in found else found
+        items = words(handle_list)
+        found = frozenset(map(by_handle.get, items))
+        if None in found:
+            found = frozenset([by_handle.get(h) or ComponentId("?", h, "?", 0) for h in items])
+        return found or _EMPTY
 
-    components: list[Component] = []
-    for at, cid, children, files, depends in raw:
-        deps = resolve(depends) if depends else _EMPTY
-        try:
-            if children is not None:
-                built = Component._trusted(cid, deps, None, resolve(children) if children else _EMPTY)
-            else:
-                built = Component._trusted(cid, deps, frozenset(files) if files else _EMPTY, None)
-        except ValueError as exc:
-            if p is None:
-                raise
-            raise ParseError(p.span(at), "disjoint contains/depends lists", str(exc)) from exc
-        components.append(built)
+    def shared(build: Callable, lists: Sequence) -> list:
+        table = {key: build(key) for key in set(lists)}
+        return list(map(table.__getitem__, lists))
 
-    config = Configuration(tuple(components))
+    kids = shared(lambda key: None if key == "" else resolve(key), children)
+    elements = shared(lambda key: None if key == "" else frozenset(strings(key)) or _EMPTY, files)
+    deps = shared(resolve, depends)
+    for k in compress(range(len(ids)), kids):  # the composites with children
+        if not deps[k].isdisjoint(kids[k]):
+            try:
+                Component(ids[k], deps[k], children=kids[k])  # raises the overlap
+            except ValueError as exc:
+                if p is None:
+                    raise
+                raise ParseError(p.span(at[k]), "disjoint contains/depends lists", str(exc)) from exc
+
+    config = Configuration(Component._columns(ids, deps, elements, kids))
     report = validate_configuration(config)
     if not report.ok:
         return None, report
@@ -575,11 +592,12 @@ def _productions() -> tuple[re.Pattern[str], ...]:
             re.compile(f'"({_STRING_BODY})"'), re.compile(r"\w+"))
 
 
-def _read_productions(text: str) -> tuple[dict[str, ComponentId], list] | None:
-    """The ids by handle and the raw entries of a configuration text, read by
-    one `findall` between the header and the final `}`; None for a text that
-    is not ASCII, is not covered by the matches, repeats a handle or has a
-    `""` name or origin.  A version int() does not convert raises ValueError."""
+def _read_productions(text: str) -> tuple | None:
+    """The columns of a configuration text and the splitters of its lists,
+    for `_assemble`, read by one `findall` between the header and the final
+    `}`; None for a text that is not ASCII, is not covered by the matches,
+    repeats a handle or has a `""` name or origin.  A version int() does not
+    convert raises ValueError."""
     if not text.isascii():
         return None
     header, production, string, word = _productions()
@@ -592,20 +610,16 @@ def _read_productions(text: str) -> tuple[dict[str, ComponentId], list] | None:
         return None
     matched, handles, ctypes, names, origins, versions, children, files, depends = zip(*rows)
     # findall's matches do not overlap: they cover the body when their lengths add up to it
-    if sum(map(len, matched)) != end - m.end() or "" in names or "" in origins:
+    if (sum(map(len, matched)) != end - m.end() or "" in names or "" in origins
+            or len(set(handles)) < len(handles)):
         return None
-    unescape = str  # the identity on what findall gives, unless the text holds an escape
+    strings = string.findall
     if "\\" in text:
         unescape = functools.partial(_ESCAPE.sub, r"\1")
         names, origins = map(unescape, names), map(unescape, origins)
-    ids = list(map(ComponentId._trusted, ctypes, names, origins, map(int, versions)))
-    by_handle = dict(zip(handles, ids))
-    if len(by_handle) != len(ids):
-        return None
-    return by_handle, [(0, cid, word.findall(kids) if kids else None,
-                        (list(map(unescape, string.findall(f))) if '"' in f else []) if f else None,
-                        word.findall(deps) if deps else [])
-                       for cid, kids, f, deps in zip(ids, children, files, depends)]
+        strings = lambda f: map(unescape, string.findall(f))
+    versions = list(map(int, versions))
+    return (handles, ctypes, names, origins, versions, children, files, depends), word.findall, strings
 
 
 def check_config_text(text: str, filename: str = "<config>") -> tuple[Configuration | None, ValidationReport]:
@@ -616,27 +630,27 @@ def check_config_text(text: str, filename: str = "<config>") -> tuple[Configurat
     try:
         read = _read_productions(text)
         if read is not None:
-            return _assemble(*read, None)
+            return _assemble(*read)
     except ValueError:  # an empty name or origin, a huge version, overlapping lists
         pass
     p = _Parser(text, filename)
     p.take("config")
     p.ident("a configuration name")
     p.take("{")
-    ids: dict[str, ComponentId] = {}  # by handle
-    raw = []  # (index of 'component', id, children, files, depends) per component
+    handles: set[str] = set()
+    rows = []
     while p.lex[p.i] == "component":
-        at = p.i
-        handle, cid, children, files, depends = _component(p)
-        if handle in ids:
+        rows.append(_component(p))
+        at, handle = rows[-1][:2]
+        if handle in handles:
             raise ParseError(p.span(at), "an unused component handle", f"'{handle}'")
-        ids[handle] = cid
-        raw.append((at, cid, children, files, depends))
-    if not raw:
+        handles.add(handle)
+    if not rows:
         raise p.fail("'component'")
     p.take("}")
     p.take("", "end of input")
-    return _assemble(ids, raw, p)
+    at, *columns = zip(*rows)
+    return _assemble(columns, p=p, at=at)
 
 
 def parse_config(text: str, filename: str = "<config>") -> Configuration:

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import confkit
+from confkit import cli
 from confkit.cli import main
 from confkit.textfmt import (
     check_config_text, check_spec_text, parse_config, parse_journal, parse_spec)
@@ -203,14 +204,17 @@ class TestCheck:
 class TestInvalidInputs:
     """`check` and `compat` on a file that parses but is not a valid
     configuration or spec: exit 2, an `error:` line, then one line per
-    violation of the report, warnings included."""
+    violation of the report, warnings included, each marked `violation` or
+    `warning` as `validate` marks it."""
 
     @staticmethod
     def assert_report_on_stderr(err, report):
         assert report.violations
         lines = err.splitlines()
         assert lines[0].startswith("error: not a valid configuration")
-        assert lines[1:] == [f"  [{v.condition}] {v.message}" for v in report.violations]
+        marks = {"error": "violation", "warning": "warning"}
+        assert lines[1:] == [f"  {marks[v.severity]} [{v.condition}] {v.message}"
+                             for v in report.violations]
 
     def test_check_refuses_an_invalid_configuration(self, ws, tmp_path, capsys):
         path = tmp_path / "two-roots.cg"
@@ -547,6 +551,39 @@ class TestApplyUndo:
         assert app.read_text() == expected
         assert len(parse_journal((ws / "app.cg.journal").read_text())) == 2
         assert run(capsys, "check", str(app), str(ws / "psycho.csg"))[0] == 0
+
+    def test_an_unwritable_journal_leaves_the_file_untouched(self, ws, capsys):
+        app = ws / "app.cg"
+        shutil.copy(ws / "psy1.cg", app)
+        before = app.read_bytes()
+        journal = ws / "missing" / "dir" / "j"
+        code, out, err = run(capsys, "apply", str(app), str(ws / "upgrade-to-v2.json"),
+                             "--spec", str(ws / "psycho.csg"), "--journal", str(journal))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert app.read_bytes() == before
+        assert not journal.exists() and not (ws / "missing").exists()
+
+    def test_undo_with_an_unwritable_journal_leaves_both_files_untouched(
+            self, ws, capsys, monkeypatch):
+        app = ws / "app.cg"
+        shutil.copy(ws / "psy1.cg", app)
+        journal = ws / "app.cg.journal"
+        assert run(capsys, "apply", str(app), str(ws / "upgrade-to-v2.json"),
+                   "--spec", str(ws / "psycho.csg"))[0] == 0
+        before, journal_before = app.read_bytes(), journal.read_bytes()
+
+        def read_only(path, mode="r", *args, **kwargs):
+            if path == str(journal) and mode != "r":
+                raise PermissionError(13, "Permission denied", path)
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", read_only, raising=False)
+        code, out, err = run(capsys, "undo", str(app))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert app.read_bytes() == before
+        assert journal.read_bytes() == journal_before
 
     def test_undo_without_a_journal_exits_2(self, ws, capsys):
         code, _, err = run(capsys, "undo", str(ws / "psy1.cg"))

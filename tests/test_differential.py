@@ -11,6 +11,8 @@ keeps its id index and root on the value for `root_of`, `by_id` and
 `ctype_order`, against the reachable-set walk and the fresh computations;
 and `ctype_order`, which neither sorts nor pushes a child with no children
 of a ctype already seen, against the DFS that sorts every child set.
+Last, every component either configuration reader builds column by column
+is rebuilt through the checking constructors and must be the same value.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ from confkit import (
     unify_dependencies,
     validate_configuration,
 )
-from confkit.model import ValidationReport, Violation
+from confkit import textfmt
+from confkit.model import _EMPTY, ValidationReport, Violation
+from confkit.textfmt import ParseError
 from confkit.typecheck import CompatReason, _stand_in_reasons, ctype_order
 
 CTYPES = ("T", "U", "V")
@@ -578,3 +582,88 @@ def test_the_kept_index_cannot_be_corrupted_or_carried_over():
         assert smaller._by_id is None and first not in smaller
         assert not smaller.components or validate_configuration(smaller) == reference_validate(
             list(smaller.components))
+
+
+# --------------------------------------------------------------------------
+# Column-built values against the public constructors
+
+
+def assembled(text: str, lexeme_only: bool) -> list[Component]:
+    """The components a configuration reader builds from `text`, whether or
+    not they form a valid configuration; none for a text it refuses."""
+    built: list[Component] = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textfmt, "Configuration",
+                      lambda components: built.extend(components) or Configuration(components))
+        if lexeme_only:
+            patch.setattr(textfmt, "_read_productions", lambda text: None)
+        try:
+            textfmt.check_config_text(text)
+        except ParseError:
+            pass
+    return built
+
+
+def public_id(i: ComponentId) -> ComponentId:
+    return ComponentId(i.ctype, i.name, i.origin, i.version)
+
+
+def public_component(c: Component) -> Component:
+    return Component(public_id(c.id), map(public_id, c.dependencies),
+                     None if c.elements is None else list(c.elements),
+                     None if c.children is None else map(public_id, c.children))
+
+
+def assert_same_value(built, public) -> None:
+    assert built.__class__ is public.__class__
+    assert built == public and hash(built) == hash(public)
+    for mine, theirs in zip(built._astuple(built), public._astuple(public), strict=True):
+        assert type(mine) is type(theirs) and (mine is _EMPTY) == (theirs is _EMPTY)
+
+
+def assert_built_as_public(c: Component) -> None:
+    assert_same_value(c, public_component(c))
+    for i in (c.id, *c.dependencies, *c.child_ids):
+        assert_same_value(i, public_id(i))
+        assert tuple(map(type, i._astuple(i))) == (str, str, str, int)
+
+
+def reader_texts() -> list[str]:
+    from test_lexer_differential import CORPUS, LAYOUTS, _scale_config
+    rnd = random.Random(0xC011)
+    return [text for _, text in CORPUS] + LAYOUTS + [_scale_config(rnd) for _ in range(40)]
+
+
+@pytest.mark.parametrize("lexeme_only", [False, True], ids=["productions", "lexemes"])
+def test_column_built_components_equal_the_public_constructors(lexeme_only):
+    components = 0
+    for text in reader_texts():
+        for c in assembled(text, lexeme_only):
+            assert_built_as_public(c)
+            components += 1
+    assert components > 5_000
+
+
+def test_copies_of_column_built_values_are_the_public_values():
+    from test_lexer_differential import _scale_config
+    rnd = random.Random(0xC0B1)
+    for _ in range(20):
+        for c in textfmt.parse_config(_scale_config(rnd)):
+            for value, public in ((c, public_component(c)), (c.id, public_id(c.id))):
+                for other in (copy.copy(value), copy.deepcopy(value),
+                              pickle.loads(pickle.dumps(value)), value.replace()):
+                    assert_same_value(other, public)
+                    assert_same_value(value, other)
+
+
+def test_equal_dependency_lists_share_one_set():
+    from test_lexer_differential import _scale_config
+    text = _scale_config(random.Random(3))
+    for lexeme_only in (False, True):
+        dependent = [c for c in assembled(text, lexeme_only) if c.dependencies]
+        assert len(dependent) > 1 and len({id(c.dependencies) for c in dependent}) == 1
+
+
+def test_columns_set_each_public_field_from_its_column():
+    assert Interval._columns((1, 2), (3, INF)) == [Interval(1, 3), Interval(2, INF)]
+    assert ComponentId._columns((), (), (), ()) == []
