@@ -9,6 +9,7 @@ of one ctype merge, child slots widen to cover both sides, totals add.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from .algebra import AbstractComponentId, ComponentId, Interval, lift_identifiers
@@ -19,6 +20,8 @@ from .model import (
     Configuration,
     NotAConfiguration,
     SpecSet,
+    _children_of,
+    _dependencies_of,
     validate_configuration,
 )
 
@@ -76,19 +79,21 @@ def unify(a: SpecSet, b: SpecSet) -> SpecSet:
     return SpecSet(frozenset(out))
 
 
-def _group_spec(members: list[Component], faithful_leaf_rule: bool) -> ComponentSpec:
-    """The node the `unify` fold builds for one ctype's components, built in
-    one pass: identifiers and each dependency ctype merge once, a child slot
-    counts [min, max] over the members (0 for a member without such
-    children), totals add.  A lone member keeps one dependency entry per
-    id, as `infer_component` gives them and the fold passes them through."""
-    deps_by_type: dict[str, list[ComponentId]] = {}
-    kids_by_type: dict[str, list[ComponentId]] = {}
+def _group_spec(members: list[Component], families: dict[str, tuple[int, AbstractComponentId]],
+                faithful_leaf_rule: bool) -> ComponentSpec:
+    """The node the `unify` fold builds for one ctype's components, in one
+    pass: dependencies merge once per ctype, a child slot counts [min, max]
+    over the members (0 for a member without such children), totals add.
+    `families` maps a ctype to (number of ids, their family).  A slot of
+    another ctype whose counts add up to that number holds exactly those
+    ids, as each has one parent, so it shares the family; other slots, and
+    one of the members' own ctype (its topmost member has no parent among
+    them), lift the ids they gather.  A lone member keeps one dependency
+    entry per id, as the fold passes it through."""
+    own = members[0].id.ctype
     counts: dict[str, list[int]] = {}
     total = 0
     for c in members:
-        for dep in c.dependencies:
-            deps_by_type.setdefault(dep.ctype, []).append(dep)
         kids = c.children
         if kids is None:
             total += 1 if faithful_leaf_rule else 0
@@ -96,24 +101,32 @@ def _group_spec(members: list[Component], faithful_leaf_rule: bool) -> Component
         total += len(kids)
         tally: dict[str, int] = {}
         for child in kids:
-            kids_by_type.setdefault(child.ctype, []).append(child)
             tally[child.ctype] = tally.get(child.ctype, 0) + 1
         for ctype, k in tally.items():
             counts.setdefault(ctype, []).append(k)
     if len(members) == 1:
         deps = frozenset(d.to_abstract() for d in members[0].dependencies)
     else:
-        deps = frozenset(lift_identifiers(group) for group in deps_by_type.values())
+        deps_by_type: dict[str, list[ComponentId]] = {}
+        for dep in frozenset().union(*map(_dependencies_of, members)):  # reuses kept hashes
+            deps_by_type.setdefault(dep.ctype, []).append(dep)
+        deps = frozenset(map(lift_identifiers, deps_by_type.values()))
+    gathered: dict[str, list[ComponentId]] = {
+        ctype: [] for ctype, ks in counts.items()
+        if ctype == own or families.get(ctype, (0,))[0] != sum(ks)}
+    if gathered:
+        for child in chain.from_iterable(filter(None, map(_children_of, members))):
+            if child.ctype in gathered:
+                gathered[child.ctype].append(child)
     slots = frozenset(
         ChildSlot(
-            lift_identifiers(kids_by_type[ctype]),
+            lift_identifiers(gathered[ctype]) if ctype in gathered else families[ctype][1],
             Interval(min(ks) if len(ks) == len(members) else 0, max(ks)),
         )
         for ctype, ks in counts.items()
     )
     return ComponentSpec(
-        aci=lift_identifiers(c.id for c in members),
-        dependencies=deps, children=slots, total=Interval(total, total))
+        aci=families[own][1], dependencies=deps, children=slots, total=Interval(total, total))
 
 
 def infer_component(component: Component, *, faithful_leaf_rule: bool = False) -> SpecSet:
@@ -122,7 +135,8 @@ def infer_component(component: Component, *, faithful_leaf_rule: bool = False) -
     A leaf's own total is [0,0] by default; with faithful_leaf_rule it is
     [1,1], counting the leaf as occupying one slot of its own.
     """
-    return SpecSet(frozenset({_group_spec([component], faithful_leaf_rule)}))
+    family = (1, lift_identifiers([component.id]))
+    return SpecSet(frozenset({_group_spec([component], {component.id.ctype: family}, faithful_leaf_rule)}))
 
 
 def infer(config: Configuration, *, faithful_leaf_rule: bool = False) -> SpecSet:
@@ -134,5 +148,7 @@ def infer(config: Configuration, *, faithful_leaf_rule: bool = False) -> SpecSet
     groups: dict[str, list[Component]] = {}
     for component in config:
         groups.setdefault(component.id.ctype, []).append(component)
-    return SpecSet(frozenset(_group_spec(members, faithful_leaf_rule)
+    families = {ctype: (len(members), lift_identifiers([c.id for c in members]))
+                for ctype, members in groups.items()}
+    return SpecSet(frozenset(_group_spec(members, families, faithful_leaf_rule)
                              for members in groups.values()))

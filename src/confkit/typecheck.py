@@ -157,20 +157,21 @@ def compliant(
     strict_lower_bounds: bool = False,
 ) -> ComplianceVerdict:
     """Does the configuration comply with the spec?  Failures name the first
-    broken clause per ctype, in depth-first order from the root."""
+    broken clause per ctype, in depth-first order from the root; the tree is
+    walked for that order only when two or more ctypes fail."""
     _checked_spec(spec)
-    inferred = infer(config, faithful_leaf_rule=faithful_leaf_rule)
     failures: list[ComplianceFailure] = []
-    for ctype in ctype_order(config):
-        mine = inferred.spec_for(ctype)
-        assert mine is not None
-        node = spec.spec_for(ctype)
+    for mine in infer(config, faithful_leaf_rule=faithful_leaf_rule):
+        node = spec.spec_for(mine.ctype)
         if node is None:
             failures.append(ComplianceFailure(
-                ctype, "missing-spec-node", f"no spec node of ctype {ctype}"))
+                mine.ctype, "missing-spec-node", f"no spec node of ctype {mine.ctype}"))
             continue
         failures.extend(_node_failures(
             mine, node, strict_lower_bounds=strict_lower_bounds))
+    if len(failures) > 1:  # at most one per ctype
+        rank = {ctype: i for i, ctype in enumerate(ctype_order(config))}
+        failures.sort(key=lambda f: rank[f.subject])
     return ComplianceVerdict.from_failures(failures)
 
 

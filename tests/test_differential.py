@@ -350,14 +350,34 @@ def same_representation(x: AbstractComponentId, y: AbstractComponentId) -> bool:
 # Differential tests
 
 
+def slot_kinds(config: Configuration, inferred: SpecSet) -> dict[tuple[str, str], str]:
+    """Per child slot of the inferred spec, keyed by (node ctype, slot
+    ctype): "shared" if it holds every component of its ctype, which makes
+    it reuse that ctype's family (the very object), "gathered" if it lifts
+    its own ids.  Which one a slot should be is read off the configuration."""
+    parent_types: dict[str, set] = {}  # ctype -> ctypes of its components' parents
+    parent = {child: c.id.ctype for c in config for child in c.child_ids}
+    for c in config:
+        parent_types.setdefault(c.id.ctype, set()).add(parent.get(c.id))
+    kinds = {}
+    for node in inferred:
+        for slot in node.children:
+            shared = slot.aci is inferred.spec_for(slot.aci.ctype).aci
+            assert shared == (parent_types[slot.aci.ctype] == {node.ctype}), (node, slot)
+            kinds[node.ctype, slot.aci.ctype] = "shared" if shared else "gathered"
+    return kinds
+
+
 @pytest.mark.parametrize("faithful_leaf_rule", [False, True])
 def test_grouped_infer_equals_the_unify_fold(faithful_leaf_rule):
     rng = random.Random(20101)
-    shapes = set()
+    shapes, slots = set(), {"shared": 0, "gathered": 0}
     for _ in range(400):
         config = random_config(rng)
-        assert infer(config, faithful_leaf_rule=faithful_leaf_rule) == reference_infer(
-            config, faithful_leaf_rule)
+        inferred = infer(config, faithful_leaf_rule=faithful_leaf_rule)
+        assert inferred == reference_infer(config, faithful_leaf_rule)
+        for kind in slot_kinds(config, inferred).values():
+            slots[kind] += 1
         for c in config:
             assert infer_component(c, faithful_leaf_rule=faithful_leaf_rule) == (
                 reference_infer_component(c, faithful_leaf_rule))
@@ -366,8 +386,46 @@ def test_grouped_infer_equals_the_unify_fold(faithful_leaf_rule):
             kinds.setdefault(c.id.ctype, set()).add(
                 "leaf" if c.is_leaf else "composite" if c.child_ids else "empty")
         shapes.update(frozenset(k) for k in kinds.values())
-    # the inputs mix leaves, composites and empty composites within one ctype
+    # the inputs mix leaves, composites and empty composites within one ctype,
+    # and slots that share their ctype's family with slots that gather their ids
     assert frozenset({"leaf", "composite", "empty"}) in shapes
+    assert min(slots.values()) >= 50, slots
+
+
+def test_grouped_infer_on_slots_that_cannot_share_a_family():
+    def ids(ctype, *names):
+        return [ComponentId(ctype, name, "o", 1) for name in names]
+
+    (r,), (a, a2), (b,), (x1, x2, x3) = ids("R", "r"), ids("A", "a", "a2"), ids("B", "b"), ids(
+        "X", "x1", "x2", "x3")
+    # X sits under two parent ctypes, so neither slot holds all of X; A's
+    # slot for B holds every B, split over two members of A
+    two_parents = Configuration((
+        Component.composite(r, [a, a2, x3]), Component.composite(a, [x1, b]),
+        Component.composite(a2, [x2]), Component.composite(b, []),
+        Component.leaf(x1), Component.leaf(x2), Component.leaf(x3, dependencies=[b])))
+    # the root's ctype recurs below the root, twice, once under its own ctype
+    (r2, r3) = ids("R", "r2", "r3")
+    recurring = Configuration((
+        Component.composite(r, [b]), Component.composite(b, [r2]),
+        Component.composite(r2, [r3]), Component.leaf(r3, dependencies=[b])))
+    expected = {two_parents: {("R", "A"): "shared", ("R", "X"): "gathered",
+                              ("A", "X"): "gathered", ("A", "B"): "shared"},
+                recurring: {("R", "B"): "shared", ("B", "R"): "gathered", ("R", "R"): "gathered"}}
+    for config, kinds in expected.items():
+        for faithful_leaf_rule in (False, True):
+            inferred = infer(config, faithful_leaf_rule=faithful_leaf_rule)
+            assert inferred == reference_infer(config, faithful_leaf_rule)
+            assert slot_kinds(config, inferred) == kinds
+    # A lone composite's children lie outside its one-member family map: a
+    # single child of its own ctype keeps its own family.
+    for composite in (Component.composite(r, [r2]), Component.composite(r, [r2, r3, a]),
+                      Component.composite(a, [x1, x2], dependencies=[b, r])):
+        for faithful_leaf_rule in (False, True):
+            assert infer_component(composite, faithful_leaf_rule=faithful_leaf_rule) == (
+                reference_infer_component(composite, faithful_leaf_rule))
+    [node] = infer_component(Component.composite(r, [r2]))
+    assert node.slot_for("R").aci == r2.to_abstract() != node.aci
 
 
 def test_lone_member_dependencies_stay_one_entry_per_id():
@@ -667,3 +725,110 @@ def test_equal_dependency_lists_share_one_set():
 def test_columns_set_each_public_field_from_its_column():
     assert Interval._columns((1, 2), (3, INF)) == [Interval(1, 3), Interval(2, INF)]
     assert ComponentId._columns((), (), (), ()) == []
+
+
+# --------------------------------------------------------------------------
+# Failure order: `compliant` sorts two or more failures depth-first, as the
+# oracle reports them
+
+Parts = dict  # handle -> [ctype, name, child handles or None for a leaf, dependency handles]
+
+
+def scale_parts(rng: random.Random, ntypes: int) -> Parts:
+    """Root -> bins -> leaves of `ntypes` leaf ctypes and, in some bins, a
+    Sub holding leaves of ctype M; the root also holds Lib, which leaves
+    and Ms depend on at random."""
+    parts: Parts = {"root": ["Root", "root", ["lib"], []], "lib": ["Lib", "lib", None, []]}
+    for b in range(rng.randint(2, 10)):
+        bin_ = f"bin{b}"
+        parts[bin_] = ["Bin", bin_, [], []]
+        parts["root"][2].append(bin_)
+        for j in range(rng.randint(1, 9)):
+            deps = ["lib"] if rng.random() < 0.5 else []
+            parts[f"l{b}_{j}"] = [f"L{rng.randrange(ntypes)}", f"l{b}_{j}", None, deps]
+            parts[bin_][2].append(f"l{b}_{j}")
+        if rng.random() < 0.5:
+            parts[f"sub{b}"] = ["Sub", f"sub{b}", [], []]
+            parts[bin_][2].append(f"sub{b}")
+            for j in range(rng.randint(0, 3)):
+                deps = ["lib"] if rng.random() < 0.5 else []
+                parts[f"m{b}_{j}"] = ["M", f"m{b}_{j}", None, deps]
+                parts[f"sub{b}"][2].append(f"m{b}_{j}")
+    return parts
+
+
+def scale_spec_text(parts: Parts, ntypes: int) -> str:
+    caps = [max(sum(1 for k in kids if parts[k][0] == f"L{t}")
+                for kids in (p[2] for p in parts.values() if p[0] == "Bin"))
+            for t in range(ntypes)]
+    slots = ", ".join([f"L{t}: 0..{cap}" for t, cap in enumerate(caps)] + ["Sub: 0..1"])
+    leaf_nodes = "\n".join(f'  node L{t} {{ name: "l"*; total: 0..0; depends {{ Lib }} }}'
+                           for t in range(ntypes))
+    return f"""spec scale {{
+  node Root {{ name: "root"; total: 2..*; contains {{ Bin: 1..*, Lib: 1..1 }} }}
+  node Bin {{ name: "bin"*; origin: "o"; total: 0..*; contains {{ {slots} }} }}
+{leaf_nodes}
+  node Sub {{ name: "sub"*; total: 0..*; contains {{ M: 0..* }} }}
+  node M {{ name: "m"*; total: 0..0; depends {{ Lib }} }}
+  node Lib {{ name: "lib"; total: 0..0; }}
+  root Root;
+}}
+"""
+
+
+def of_ctype(parts: Parts, where: str) -> list[str]:
+    """The handles of ctype `where`, or of any leaf ctype L0, L1, ... for L."""
+    return [h for h, p in parts.items() if p[0] == where or (where == "L" and p[0][1:].isdigit())]
+
+
+def inject(rng: random.Random, parts: Parts, where: str) -> None:
+    """One fault whose first failure is at ctype `where` (L for a leaf ctype);
+    some also break a clause of the parent, or add a ctype."""
+    pick = rng.choice(of_ctype(parts, where))
+    fault = rng.randrange(2)
+    if where in ("Root", "Lib", "Sub") or (where == "Bin" and fault == 0):
+        parts[pick][1] = "x" + parts[pick][1]  # identifier, and the parent's child-identifier
+    elif where == "Bin":  # child-interval, or a child of a ctype with no slot (and no node)
+        extra = f"extra_{pick}"
+        parts[extra] = ["LX", extra, None, []] if rng.random() < 0.5 else ["Sub", "sub" + extra, [], []]
+        parts[pick][2].append(extra)
+    elif fault == 0:
+        parts[pick][1] = "x" + parts[pick][1]
+    else:  # a dependency on a bin: no dependency entry matches it
+        parts[pick][3] = parts[pick][3] + [rng.choice(of_ctype(parts, "Bin"))]
+
+
+def assembled_config(rng: random.Random, parts: Parts) -> Configuration:
+    ids = {h: ComponentId(p[0], p[1], "o", rng.randint(1, 3)) for h, p in parts.items()}
+    comps = [Component.leaf(ids[h], ["f"], [ids[d] for d in deps]) if kids is None else
+             Component.composite(ids[h], [ids[k] for k in kids], [ids[d] for d in deps])
+             for h, (_, _, kids, deps) in parts.items()]
+    rng.shuffle(comps)
+    return Configuration(tuple(comps))
+
+
+def test_compliant_orders_failures_as_the_oracle_does():
+    from confkit import compliant, direct_check, parse_config, parse_spec
+    rng = random.Random(20114)
+    several, subjects, counts = 0, set(), set()
+    for case in range(260):
+        ntypes = rng.randint(1, 4)
+        parts = scale_parts(rng, ntypes)
+        spec = parse_spec(scale_spec_text(parts, ntypes))
+        places = ["Root", "Bin", "Lib", "L"] + (["Sub", "M"] if of_ctype(parts, "M") else [])
+        for where in rng.sample(places, rng.randint(2, min(4, len(places)))):
+            inject(rng, parts, where)
+        config = assembled_config(rng, parts)
+        if case % 2:
+            config = parse_config(print_config(config))
+        flags = {"faithful_leaf_rule": rng.random() < 0.1, "strict_lower_bounds": rng.random() < 0.5}
+        got, want = compliant(config, spec, **flags), direct_check(config, spec, **flags)
+        assert got.failures == want.failures and got.compliant == want.compliant
+        if len(got.failures) > 1:
+            several += 1
+            counts.add(min(len(got.failures), 5))
+            subjects.update(f.subject for f in got.failures)
+    assert several >= 200
+    assert counts == {2, 3, 4, 5}
+    # failures at every depth, from the root to the Ms under a Sub
+    assert {"Root", "Bin", "Lib", "L0", "Sub", "M", "LX"} <= subjects

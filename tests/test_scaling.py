@@ -34,6 +34,14 @@ built every id and component through the checking constructors 35.  The `ctype_o
 guard counts the ids it passes to `sorted`: each composite is sorted once
 among its parent's children, and leaves only under the first bin, before
 their ctype has been seen (sorting every child set gives 199).
+
+Two guards count calls into one function at 4n.  `infer` lifts each ctype's
+identifier family once, and a child slot that holds every component of its
+ctype shares that family: `lift_identifiers` runs once per ctype plus once
+per dependency group, 5 times at n and at 4n (lifting every child slot and
+each member's dependencies on their own made it 8).  `compliant` orders
+its failures depth-first with `ctype_order`, and walks the tree for it only
+when two or more ctypes fail (it used to walk it on every call).
 """
 
 from __future__ import annotations
@@ -61,13 +69,13 @@ from confkit import (
     validate_configuration,
     validate_spec,
 )
-from confkit import textfmt, typecheck
+from confkit import inference, textfmt, typecheck
 
 LEAVES_PER_BIN = 5
 SMALL_BINS, LARGE_BINS = 8, 33  # 2 + 6 * 8 = 50 and 2 + 6 * 33 = 200 components
 MAX_RATIO = 6
 
-SPEC = parse_spec("""
+SPEC_TEXT = """
 spec tree {
   node Root { total: 1..*; contains { Bin: 0..*, Lib: 1..1 } }
   node Bin { total: 0..*; contains { Leaf: 0..* } }
@@ -75,7 +83,8 @@ spec tree {
   node Lib { total: 0..0; }
   root Root;
 }
-""")
+"""
+SPEC = parse_spec(SPEC_TEXT)
 
 
 def tree(bins: int, version: int = 1) -> Configuration:
@@ -261,3 +270,53 @@ def test_ctype_order_sorts_only_children_that_can_add_a_ctype(monkeypatch):
     assert typecheck.ctype_order(config) == ["Root", "Bin", "Leaf", "Lib"]
     composites = sum(1 for c in config if c.children)
     assert len(sorted_ids) <= composites + LEAVES_PER_BIN
+
+
+def calls_into(module, name: str, fn, *args) -> int:
+    """How many times `fn(*args)` calls `module.name`."""
+    count = 0
+    original = getattr(module, name)
+
+    def counted(*a, **kw):
+        nonlocal count
+        count += 1
+        return original(*a, **kw)
+
+    setattr(module, name, counted)
+    try:
+        fn(*args)
+    finally:
+        setattr(module, name, original)
+    return count
+
+
+def test_infer_lifts_each_family_once():
+    # Root, Bin, Leaf and Lib, plus the leaves' dependencies on Lib; every
+    # child slot holds all components of its ctype and shares their family
+    assert [calls_into(inference, "lift_identifiers", infer, tree(bins))
+            for bins in (SMALL_BINS, LARGE_BINS)] == [5, 5]
+
+
+# spec edits -> the failures they cause on the 4n tree, in depth-first order
+FAULTS = {
+    (): [],
+    (("Leaf: 0..*", "Leaf: 0..4"),): [("Bin", "child-interval")],
+    (("Leaf: 0..*", "Leaf: 0..4"), ("depends { Lib }", "")):
+        [("Bin", "child-interval"), ("Leaf", "dependencies")],
+    (("depends { Lib }", ""), ("total: 1..*; contains { Bin: 0..*", "total: 1..5; contains { Bin: 0..4"),
+     ("Leaf: 0..*", "Leaf: 0..4")):
+        [("Root", "child-interval"), ("Bin", "child-interval"), ("Leaf", "dependencies")],
+}
+
+
+@pytest.mark.parametrize("edits", list(FAULTS), ids=lambda edits: f"{len(FAULTS[edits])}-failing")
+def test_compliant_walks_the_tree_only_to_order_two_or_more_failures(edits):
+    text = SPEC_TEXT
+    for old, new in edits:
+        text = text.replace(old, new)
+    spec, config = parse_spec(text), tree(LARGE_BINS)
+    verdict = compliant(config, spec)
+    assert [(f.subject, f.clause) for f in verdict.failures] == FAULTS[edits]
+    assert verdict == direct_check(config, spec)
+    walks = calls_into(typecheck, "ctype_order", compliant, tree(LARGE_BINS), spec)
+    assert walks == (1 if len(FAULTS[edits]) > 1 else 0)
