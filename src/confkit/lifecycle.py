@@ -145,24 +145,12 @@ class JournalEntry(_Value):
         _set(self, "undoes", undoes)
 
 
-def _gate(result: Configuration, spec: SpecSet, *, faithful_leaf_rule: bool, strict_lower_bounds: bool) -> None:
-    try:
-        verdict = compliant(
-            result, spec,
-            faithful_leaf_rule=faithful_leaf_rule,
-            strict_lower_bounds=strict_lower_bounds)
-    except NotAConfiguration as exc:
-        first = exc.report.errors[0]
-        raise WouldViolateSpec(f"change breaks the configuration: {first.message}") from exc
-    if not verdict.compliant:
-        first = verdict.failures[0]
-        raise WouldViolateSpec(f"result would not comply: {first.detail}", verdict)
-
-
-def _apply_raw(config: Configuration, change: ChangeSet) -> Configuration:
-    """Apply a change structurally, without the spec gate.  Raises when the
-    change does not fit the configuration: a duplicate or unknown id, a
-    missing or leaf parent, or a changed ctype."""
+def _apply_raw(config: Configuration, change: ChangeSet) -> tuple[Configuration, ChangeSet]:
+    """Apply a change structurally, without the spec gate, and return the
+    result with the change that reverts it.  Raises when the change does not
+    fit the configuration: a duplicate or unknown id, a missing or leaf
+    parent, or a changed ctype.  A removal then refuses, in this order, to
+    take the root or a component that a kept one depends on."""
     by_id = config.by_id()
     if isinstance(change, ExtendChange):
         for component in change.components:
@@ -181,7 +169,8 @@ def _apply_raw(config: Configuration, change: ChangeSet) -> Configuration:
         rewritten = tuple(
             Component.composite(c.id, c.child_ids | grafts[c.id], c.dependencies) if c.id in grafts else c
             for c in config)
-        return Configuration(rewritten + change.components)
+        inverse = RemoveChange(tuple(new_root for new_root, _ in change.attachments))
+        return Configuration(rewritten + change.components), inverse
 
     if isinstance(change, UpdateChange):
         id_map: dict[ComponentId, ComponentId] = {}
@@ -204,7 +193,8 @@ def _apply_raw(config: Configuration, change: ChangeSet) -> Configuration:
             else:
                 children = frozenset(id_map.get(i, i) for i in target.child_ids)
                 pieces.append(Component.composite(target.id, children, deps))
-        return Configuration(pieces)
+        inverse = UpdateChange(tuple((new.id, by_id[old]) for old, new in change.replacements))
+        return Configuration(pieces), inverse
 
     assert isinstance(change, RemoveChange)
     for i in change.ids:
@@ -217,13 +207,46 @@ def _apply_raw(config: Configuration, change: ChangeSet) -> Configuration:
         if current not in removed and current in by_id:
             removed.add(current)
             stack.extend(by_id[current].child_ids)
-    pieces = []
+    # one pass: the kept components rewritten, the removed ones for the
+    # inverse, each requested id's parent, and the kept dependents
+    pieces, gone, dependents = [], [], []
+    parent_of: dict[ComponentId, ComponentId] = {}
     for c in config:
+        for i in c.child_ids.intersection(change.ids):
+            parent_of[i] = c.id
         if c.id in removed:
+            gone.append(c)
             continue
+        if not removed.isdisjoint(c.dependencies):
+            dependents.append(c.id)
         drop = c.child_ids & removed
         pieces.append(Component.composite(c.id, c.child_ids - drop, c.dependencies) if drop else c)
-    return Configuration(pieces)
+    for i in change.ids:
+        if i not in parent_of:
+            raise RootRemoval(f"{i} is the configuration root")
+    if dependents:
+        held = _sorted_ids(dependents)
+        raise DependencyGuard(f"still depended on by {', '.join(map(str, held))}", held)
+    # a requested id is top-level unless another requested subtree holds it
+    attachments = ((i, parent) for i, parent in parent_of.items() if parent not in removed)
+    return Configuration(pieces), ExtendChange(gone, attachments)
+
+
+def _gated(config: Configuration, change: ChangeSet, spec: SpecSet, seq: int, *,
+           faithful_leaf_rule: bool, strict_lower_bounds: bool) -> tuple[Configuration, JournalEntry]:
+    """Apply the change, refuse a result that breaks the configuration or the
+    spec, and journal the change with the inverse the kernel returned."""
+    result, inverse = _apply_raw(config, change)
+    try:
+        verdict = compliant(result, spec, faithful_leaf_rule=faithful_leaf_rule,
+                            strict_lower_bounds=strict_lower_bounds)
+    except NotAConfiguration as exc:
+        first = exc.report.errors[0]
+        raise WouldViolateSpec(f"change breaks the configuration: {first.message}") from exc
+    if not verdict.compliant:
+        first = verdict.failures[0]
+        raise WouldViolateSpec(f"result would not comply: {first.detail}", verdict)
+    return result, JournalEntry(change=change, inverse=inverse, seq=seq)
 
 
 def extend(
@@ -235,10 +258,8 @@ def extend(
     strict_lower_bounds: bool = False,
     seq: int = 0,
 ) -> tuple[Configuration, JournalEntry]:
-    result = _apply_raw(config, change)
-    _gate(result, spec, faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
-    inverse = RemoveChange(tuple(new_root for new_root, _ in change.attachments))
-    return result, JournalEntry(change=change, inverse=inverse, seq=seq)
+    return _gated(config, change, spec, seq,
+                  faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
 
 
 def update(
@@ -250,11 +271,8 @@ def update(
     strict_lower_bounds: bool = False,
     seq: int = 0,
 ) -> tuple[Configuration, JournalEntry]:
-    result = _apply_raw(config, change)
-    _gate(result, spec, faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
-    by_id = config.by_id()
-    inverse = UpdateChange(tuple((new.id, by_id[old]) for old, new in change.replacements))
-    return result, JournalEntry(change=change, inverse=inverse, seq=seq)
+    return _gated(config, change, spec, seq,
+                  faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
 
 
 def remove(
@@ -266,29 +284,8 @@ def remove(
     strict_lower_bounds: bool = False,
     seq: int = 0,
 ) -> tuple[Configuration, JournalEntry]:
-    change = RemoveChange(tuple(ids))
-    result = _apply_raw(config, change)
-    parent_of = {child: c.id for c in config for child in c.child_ids}
-    for i in change.ids:
-        if i not in parent_of:
-            raise RootRemoval(f"{i} is the configuration root")
-
-    kept = {c.id for c in result}
-    removed = [c for c in config if c.id not in kept]
-    removed_ids = {c.id for c in removed}
-    dependents = _sorted_ids(
-        c.id for c in result if any(d in removed_ids for d in c.dependencies))
-    if dependents:
-        names = ", ".join(str(i) for i in dependents)
-        raise DependencyGuard(f"still depended on by {names}", dependents)
-    _gate(result, spec, faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
-
-    # a requested id is top-level unless another requested subtree holds it
-    inverse = ExtendChange(
-        components=tuple(removed),
-        attachments=tuple((i, parent_of[i]) for i in change.ids if parent_of[i] not in removed_ids),
-    )
-    return result, JournalEntry(change=change, inverse=inverse, seq=seq)
+    return _gated(config, RemoveChange(tuple(ids)), spec, seq,
+                  faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
 
 
 def apply(
@@ -309,12 +306,14 @@ def apply(
 def undo(config: Configuration, entry: JournalEntry) -> Configuration:
     """Apply the entry's inverse, restoring the configuration the entry was
     produced from.  No spec gate: the restored state was accepted before.
+    An inverse that does not fit, or a removal that trips a guard, is a
+    mismatch.
 
     The entry's change, applied again to the result, must give back `config`;
     otherwise `config` is not what the entry produced (it was edited where
     the change wrote) and undoing would keep only part of that edit."""
     try:
-        result = _apply_raw(config, entry.inverse)
+        result, _ = _apply_raw(config, entry.inverse)
     except (LifecycleError, ValueError) as exc:
         raise JournalMismatch(f"entry does not match this configuration: {exc}") from exc
     report = validate_configuration(result)
@@ -322,7 +321,7 @@ def undo(config: Configuration, entry: JournalEntry) -> Configuration:
         raise JournalMismatch(
             f"undo result is not a valid configuration: {report.errors[0].message}")
     try:
-        redone = set(_apply_raw(result, entry.change))
+        redone = set(_apply_raw(result, entry.change)[0])
     except (LifecycleError, ValueError):
         redone = None
     if redone != set(config):

@@ -536,6 +536,27 @@ class TestApplyUndo:
         assert app.read_bytes() == before
         assert journal.read_bytes() == journal_before
 
+    def test_undo_refuses_a_kept_component_that_depends_on_an_added_one(self, ws, capsys):
+        # Undoing the extend would remove julib.so, which def.psc now needs.
+        app = ws / "app.cg"
+        shutil.copy(ws / "psy1.cg", app)
+        journal = ws / "app.cg.journal"
+        for change in ("upgrade-to-v2.json", "add-julia-effects.json"):
+            code, _, _ = run(capsys, "apply", str(app), str(ws / change),
+                             "--spec", str(ws / "psycho.csg"))
+            assert code == 0
+        kept = 'component def_psc : PScr ("def.psc", "IMsk", 1) files [];'
+        text = app.read_text()
+        assert kept in text
+        app.write_text(text.replace(kept, kept[:-1] + " depends [julib_so];"))
+        assert run(capsys, "check", str(app), str(ws / "psycho.csg"))[0] == 0
+        before, journal_before = app.read_bytes(), journal.read_bytes()
+        code, out, err = run(capsys, "undo", str(app))
+        assert (code, out) == (1, "")
+        assert err.startswith("rejected:")
+        assert app.read_bytes() == before
+        assert journal.read_bytes() == journal_before
+
     def test_undo_keeps_an_outside_edit_the_entry_did_not_touch(self, ws, capsys):
         app = ws / "app.cg"
         shutil.copy(ws / "psy1.cg", app)

@@ -13,6 +13,8 @@ and `ctype_order`, which neither sorts nor pushes a child with no children
 of a ctype already seen, against the DFS that sorts every child set.
 Last, every component either configuration reader builds column by column
 is rebuilt through the checking constructors and must be the same value.
+The lifecycle kernel, whose branches return each change's inverse and raise
+the removal guards, is checked against the derivation that ran after it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import random
 from functools import reduce
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from confkit import (
     INF,
@@ -33,28 +37,46 @@ from confkit import (
     ComponentId,
     ComponentSpec,
     Configuration,
+    DependencyGuard,
+    ExtendChange,
     Interval,
+    JournalEntry,
     NameSet,
+    NotAConfiguration,
     OriginSet,
+    RemoveChange,
+    RootRemoval,
     SpecSet,
     TypeMismatch,
+    UnknownComponent,
+    UpdateChange,
     VersionSet,
+    WouldViolateSpec,
     ci_compat_leq,
+    compliant,
     config_leq,
+    extend,
     infer,
     infer_component,
     lift_identifiers,
     merge_identifiers,
     print_config,
+    remove,
     root_of,
+    undo,
     unify,
     unify_dependencies,
+    update,
     validate_configuration,
 )
 from confkit import textfmt
+from confkit.lifecycle import _apply_raw
 from confkit.model import _EMPTY, ValidationReport, Violation
 from confkit.textfmt import ParseError
 from confkit.typecheck import CompatReason, _stand_in_reasons, ctype_order
+
+from conftest import widened_spec_for
+from strategies import layered_configurations
 
 CTYPES = ("T", "U", "V")
 NAMES = ("a", "b", "c")  # shared by every ctype
@@ -832,3 +854,152 @@ def test_compliant_orders_failures_as_the_oracle_does():
     assert counts == {2, 3, 4, 5}
     # failures at every depth, from the root to the Ms under a Sub
     assert {"Root", "Bin", "Lib", "L0", "Sub", "M", "LX"} <= subjects
+
+
+# --------------------------------------------------------------------------
+# Lifecycle kernel: each change kind's branch of `_apply_raw` returns the
+# result and its inverse, and a removal's guards come from its one rewrite
+# loop.  The reference derives them after the structural step, as `extend`,
+# `update` and `remove` once did, walking the configuration again.
+
+
+def reference_gate(result: Configuration, spec: SpecSet, **flags) -> None:
+    try:
+        verdict = compliant(result, spec, **flags)
+    except NotAConfiguration as exc:
+        raise WouldViolateSpec(f"change breaks the configuration: {exc.report.errors[0].message}") from exc
+    if not verdict.compliant:
+        raise WouldViolateSpec(f"result would not comply: {verdict.failures[0].detail}", verdict)
+
+
+def reference_extend(config: Configuration, change: ExtendChange, spec: SpecSet, **flags):
+    result = _apply_raw(config, change)[0]
+    reference_gate(result, spec, **flags)
+    inverse = RemoveChange(tuple(new_root for new_root, _ in change.attachments))
+    return result, JournalEntry(change=change, inverse=inverse)
+
+
+def reference_update(config: Configuration, change: UpdateChange, spec: SpecSet, **flags):
+    result = _apply_raw(config, change)[0]
+    reference_gate(result, spec, **flags)
+    by_id = config.by_id()
+    inverse = UpdateChange(tuple((new.id, by_id[old]) for old, new in change.replacements))
+    return result, JournalEntry(change=change, inverse=inverse)
+
+
+def reference_remove(config: Configuration, ids, spec: SpecSet, **flags):
+    change = RemoveChange(tuple(ids))
+    by_id = config.by_id()
+    for i in change.ids:
+        if i not in by_id:
+            raise UnknownComponent(f"{i} is not in the configuration")
+    closure: set[ComponentId] = set()
+    stack = list(change.ids)
+    while stack:
+        current = stack.pop()
+        if current not in closure and current in by_id:
+            closure.add(current)
+            stack.extend(by_id[current].child_ids)
+    result = Configuration(
+        Component.composite(c.id, c.child_ids - closure, c.dependencies) if c.child_ids & closure else c
+        for c in config if c.id not in closure)
+
+    parent_of = {child: c.id for c in config for child in c.child_ids}
+    for i in change.ids:
+        if i not in parent_of:
+            raise RootRemoval(f"{i} is the configuration root")
+    kept = {c.id for c in result}
+    removed = [c for c in config if c.id not in kept]
+    removed_ids = {c.id for c in removed}
+    dependents = tuple(sorted((c.id for c in result if any(d in removed_ids for d in c.dependencies)),
+                              key=lambda i: i.sort_key))
+    if dependents:
+        raise DependencyGuard(f"still depended on by {', '.join(str(i) for i in dependents)}", dependents)
+    reference_gate(result, spec, **flags)
+    inverse = ExtendChange(
+        components=tuple(removed),
+        attachments=tuple((i, parent_of[i]) for i in change.ids if parent_of[i] not in removed_ids))
+    return result, JournalEntry(change=change, inverse=inverse)
+
+
+def outcome(operation, config: Configuration, change, spec: SpecSet, flags: dict):
+    """The components and entry an operation returns, or the class, text,
+    dependents and verdict of what it raises."""
+    try:
+        result, entry = operation(config, change, spec, **flags)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "dependents", None), getattr(exc, "verdict", None)
+    return result.components, entry
+
+
+def victim_sets(cfg: Configuration, data) -> list[list[ComponentId]]:
+    """Every single id (the root and each depended-on id among them), every
+    parent with one of its children, every depended-on id with the ids that
+    depend on it, an unknown id beside a known one, and three drawn triples."""
+    ids = [c.id for c in cfg.sorted_components()]
+    ghost = ComponentId("L0", "ghost", "acme", 9)
+    sets = [[i] for i in ids] + [[ids[0], ghost]]
+    sets += [[c.id, kid] for c in cfg.sorted_components() for kid in sorted(c.child_ids, key=lambda i: i.sort_key)]
+    for i in ids:
+        users = [c.id for c in cfg.sorted_components() if i in c.dependencies and c.id != i]
+        if users:
+            sets.append([i, *users[:2]])
+    if len(ids) >= 3:
+        sets += [data.draw(st.lists(st.sampled_from(ids), min_size=3, max_size=3, unique=True)) for _ in range(3)]
+    return sets
+
+
+def extend_changes(cfg: Configuration) -> list[ExtendChange]:
+    """A fresh leaf under each component (a leaf parent is refused), a fresh
+    composite holding a fresh leaf under the root, and a fresh copy of an
+    id the configuration already has."""
+    root, changes = root_of(cfg), []
+    for parent in cfg.sorted_components():
+        depth = int(parent.id.ctype[1:]) + 1
+        fresh = Component.leaf(ComponentId(f"L{depth}", "fresh", "acme", 99))
+        changes.append(ExtendChange.of([fresh], {fresh.id: parent.id}))
+    leaf = Component.leaf(ComponentId("L2", "fresh-leaf", "zenith", 98))
+    holder = Component.composite(ComponentId("L1", "fresh-bin", "zenith", 98), [leaf.id])
+    changes.append(ExtendChange.of([holder, leaf], {holder.id: root.id}))
+    copy_of_root = Component.leaf(root.id)
+    changes.append(ExtendChange.of([copy_of_root], {copy_of_root.id: root.id}))
+    return changes
+
+
+def update_changes(cfg: Configuration) -> list[UpdateChange]:
+    """A version bump of each component, one of all of them at once, a
+    ctype change, and a rename onto an id that is kept."""
+    comps = cfg.sorted_components()
+    bump = {c.id: c.replace(id=c.id.replace(version=c.id.version + 10)) for c in comps}
+    changes = [UpdateChange.of({old: new}) for old, new in bump.items()]
+    changes.append(UpdateChange.of(bump))
+    changes.append(UpdateChange.of({comps[0].id: comps[0].replace(id=comps[0].id.replace(ctype="L9"))}))
+    if len(comps) > 1:
+        changes.append(UpdateChange.of({comps[0].id: comps[0].replace(id=comps[1].id)}))
+    return changes
+
+
+def tight_spec_for(config: Configuration) -> SpecSet:
+    """The inferred spec with every total widened to 0..*: it admits no new
+    identity and, with strict lower bounds, no fewer children of a ctype.
+    Where the inferred node repeats a dependency ctype it is no valid spec,
+    and both sides raise `InvalidSpec`."""
+    return SpecSet(frozenset(cs.replace(total=Interval(0, INF)) for cs in infer(config)))
+
+
+@seed(20115)
+@settings(max_examples=150, deadline=None, database=None)
+@given(layered_configurations(), st.data())
+def test_each_kernel_branch_returns_the_inverse_the_reference_derives_after_it(cfg, data):
+    # the widened spec admits most results, and the tight one refuses most,
+    # so the gate is reached after every structural guard passes
+    specs = ((widened_spec_for(cfg), {}), (tight_spec_for(cfg), {"strict_lower_bounds": True}))
+    cases = ([(remove, reference_remove, victims) for victims in victim_sets(cfg, data)]
+             + [(extend, reference_extend, change) for change in extend_changes(cfg)]
+             + [(update, reference_update, change) for change in update_changes(cfg)])
+    for operation, reference, change in cases:
+        for spec, flags in specs:
+            got = outcome(operation, cfg, change, spec, flags)
+            assert got == outcome(reference, cfg, change, spec, flags)
+            if isinstance(got[1], JournalEntry):
+                assert undo(Configuration(got[0]), got[1]) == cfg

@@ -24,6 +24,7 @@ from confkit import (
     WouldViolateSpec,
     apply,
     extend,
+    infer,
     remove,
     root_of,
     undo,
@@ -96,6 +97,23 @@ class TestApply:
     def test_apply_keeps_the_guards(self, psy2, cs_psycho):
         with pytest.raises(DependencyGuard):
             apply(psy2, RemoveChange((JULIB,)), cs_psycho)
+
+    def test_apply_calls_the_operation_of_its_kind_once(self, psy1, cs_psycho, monkeypatch):
+        # rebound by module name, as the span recorder of the benchmark does
+        import confkit.lifecycle as lifecycle
+
+        calls = []
+        for name in ("extend", "update", "remove"):
+            def counted(*args, _name=name, _original=getattr(lifecycle, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(lifecycle, name, counted)
+        stepped, _ = apply(psy1, build_upgrade_change(), cs_psycho)
+        assert calls == ["update"]
+        final, entry = apply(stepped, build_extend_change(), cs_psycho, seq=1)
+        assert calls == ["update", "extend"]
+        apply(final, entry.inverse, cs_psycho, seq=2)
+        assert calls == ["update", "extend", "remove"]
 
 
 # --------------------------------------------------------------------------
@@ -192,6 +210,23 @@ class TestStructuralGuards:
     def test_remove_rejects_unknown_ids(self, psy1, cs_psycho):
         with pytest.raises(UnknownComponent):
             remove(psy1, [ComponentId("GLib", "ghost.so", IMSK, 1)], cs_psycho)
+
+    def test_remove_guards_in_order(self, psy2, cs_psycho):
+        ghost = ComponentId("GLib", "ghost.so", IMSK, 1)
+        with pytest.raises(UnknownComponent):
+            remove(psy2, [PSY2, ghost], cs_psycho)
+        # Only a lenient configuration with a second parentless component
+        # can take the root and leave a dependent: the root guard goes first.
+        stray = Component.leaf(ComponentId("PScr", "stray.psc", IMSK, 1), dependencies={JULIB})
+        with pytest.raises(RootRemoval, match="is the configuration root"):
+            remove(Configuration(psy2.components + (stray,)), [PSY2], cs_psycho)
+        # The inferred spec with strict lower bounds refuses any removal,
+        # but the dependency guard speaks first.
+        tight = infer(psy2)
+        with pytest.raises(DependencyGuard, match=r"still depended on by PScr\(my\.psc"):
+            remove(psy2, [JULIB], tight, strict_lower_bounds=True)
+        with pytest.raises(WouldViolateSpec, match="result would not comply"):
+            remove(psy2, [MY_PSC, JULIB], tight, strict_lower_bounds=True)
 
     def test_remove_of_nested_ids_keeps_one_attachment(self, psy2, cs_psycho):
         removed, entry = remove(psy2, [BIN2, APP2], cs_psycho)
