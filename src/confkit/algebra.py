@@ -341,9 +341,7 @@ class ComponentId(_Value):
             if getattr(cls, method) is ComponentId.__dict__[method]:
                 setattr(cls, method, getattr(_Value, method))
 
-    @property
-    def sort_key(self) -> tuple[str, str, int, str]:
-        return (self.ctype, self.name, self.version, self.origin)
+    sort_key = property(attrgetter("ctype", "name", "version", "origin"))
 
     def to_abstract(self) -> AbstractComponentId:
         return lift_identifiers([self])

@@ -87,7 +87,7 @@ class InvalidSpec(ValueError):
 _EMPTY: frozenset = frozenset()
 
 
-_sort_key = attrgetter("sort_key")
+_sort_key = ComponentId.sort_key.fget
 _id_of, _children_of, _dependencies_of = attrgetter("id"), attrgetter("children"), attrgetter("dependencies")
 
 

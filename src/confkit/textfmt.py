@@ -688,8 +688,6 @@ def _ctype(ctype: str) -> str:
 
 def _sanitize(name: str) -> str:
     out = "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-    if not out:
-        out = "c"
     if not _is_ident(out):
         out = "_" + out
     while out in _RESERVED:

@@ -10,10 +10,9 @@ in the newer one at the same or a later version.
 
 from __future__ import annotations
 
-from operator import attrgetter
-
 from .algebra import ComponentId, Interval, _set, _Value, merge_identifiers
 from .model import (
+    Component,
     ComponentSpec,
     Configuration,
     InvalidSpec,
@@ -61,7 +60,7 @@ class CompatVerdict(_Value):
         _set(self, "reasons", reasons)
 
 
-_id_order = attrgetter("ctype", "name", "version", "origin")  # ComponentId.sort_key, in C
+_id_order = ComponentId.sort_key.fget
 
 
 def ctype_order(config: Configuration) -> list[str]:
@@ -87,66 +86,66 @@ def _checked_spec(spec: SpecSet) -> None:
         raise InvalidSpec(report)
 
 
-def _node_failures(
+def _first_failure(
     inferred: ComponentSpec,
-    node: ComponentSpec,
+    node: ComponentSpec | None,
     *,
     strict_lower_bounds: bool,
-) -> list[ComplianceFailure]:
-    """First failing clause for one ctype, in a fixed clause order."""
+) -> ComplianceFailure | None:
+    """First failing clause for one ctype, in a fixed clause order; a
+    missing spec node is clause 0."""
     t = inferred.ctype
+    if node is None:
+        return ComplianceFailure(t, "missing-spec-node", f"no spec node of ctype {t}")
     if not inferred.aci <= node.aci:
-        return [ComplianceFailure(t, "identifier", f"{t} identifiers do not all match the spec node")]
+        return ComplianceFailure(t, "identifier", f"{t} identifiers do not all match the spec node")
 
     unmatched = [dep.ctype for dep in inferred.dependencies
                  if not any(dep <= entry for entry in node.dependencies)]
     if unmatched:
-        return [ComplianceFailure(
+        return ComplianceFailure(
             t, "dependencies",
-            f"{t} dependencies on {min(unmatched)} match no dependency entry")]
+            f"{t} dependencies on {min(unmatched)} match no dependency entry")
 
     for slot in sorted(inferred.children, key=lambda s: s.aci.ctype):
         match = node.slot_for(slot.aci.ctype)
         if match is None:
-            return [ComplianceFailure(
+            return ComplianceFailure(
                 t, "unexpected-child-type",
-                f"{t} contains {slot.aci.ctype}, which has no child slot")]
+                f"{t} contains {slot.aci.ctype}, which has no child slot")
         if not slot.aci <= match.aci:
-            return [ComplianceFailure(
+            return ComplianceFailure(
                 t, "child-identifier",
-                f"{t} children of ctype {slot.aci.ctype} do not all match the slot")]
+                f"{t} children of ctype {slot.aci.ctype} do not all match the slot")
         if not slot.count.included_in(match.count):
-            return [ComplianceFailure(
+            return ComplianceFailure(
                 t, "child-interval",
-                f"{t} contains {slot.count} of ctype {slot.aci.ctype}, allowed {match.count}")]
+                f"{t} contains {slot.count} of ctype {slot.aci.ctype}, allowed {match.count}")
 
     if not inferred.total.included_in(node.total):
-        return [ComplianceFailure(
-            t, "total", f"{t} contains {inferred.total} children, allowed {node.total}")]
+        return ComplianceFailure(
+            t, "total", f"{t} contains {inferred.total} children, allowed {node.total}")
 
     if strict_lower_bounds:
         present = {slot.aci.ctype for slot in inferred.children}
         for slot in sorted(node.children, key=lambda s: s.aci.ctype):
             if slot.count.lo >= 1 and slot.aci.ctype not in present:
-                return [ComplianceFailure(
+                return ComplianceFailure(
                     t, "missing-required-child",
-                    f"{t} never contains {slot.aci.ctype}, required at least {slot.count.lo}")]
-    return []
+                    f"{t} never contains {slot.aci.ctype}, required at least {slot.count.lo}")
+    return None
 
 
 def component_spec_leq(a: ComponentSpec, b: ComponentSpec) -> bool:
     """a refines b: narrower identity, covered dependencies, included child
     slots and total."""
-    return not _node_failures(a, b, strict_lower_bounds=False)
+    return _first_failure(a, b, strict_lower_bounds=False) is None
 
 
 def spec_set_leq(a: SpecSet, b: SpecSet) -> bool:
     """Every node of a refines the node of b with the same ctype."""
-    for cs in a:
-        node = b.spec_for(cs.ctype)
-        if node is None or not component_spec_leq(cs, node):
-            return False
-    return True
+    return all(_first_failure(cs, b.spec_for(cs.ctype), strict_lower_bounds=False) is None
+               for cs in a)
 
 
 def compliant(
@@ -162,17 +161,87 @@ def compliant(
     _checked_spec(spec)
     failures: list[ComplianceFailure] = []
     for mine in infer(config, faithful_leaf_rule=faithful_leaf_rule):
-        node = spec.spec_for(mine.ctype)
-        if node is None:
-            failures.append(ComplianceFailure(
-                mine.ctype, "missing-spec-node", f"no spec node of ctype {mine.ctype}"))
-            continue
-        failures.extend(_node_failures(
-            mine, node, strict_lower_bounds=strict_lower_bounds))
+        failure = _first_failure(
+            mine, spec.spec_for(mine.ctype), strict_lower_bounds=strict_lower_bounds)
+        if failure is not None:
+            failures.append(failure)
     if len(failures) > 1:  # at most one per ctype
         rank = {ctype: i for i, ctype in enumerate(ctype_order(config))}
         failures.sort(key=lambda f: rank[f.subject])
     return ComplianceVerdict.from_failures(failures)
+
+
+def _direct_failure(
+    ctype: str,
+    members: list[Component],
+    node: ComponentSpec | None,
+    *,
+    faithful_leaf_rule: bool,
+    strict_lower_bounds: bool,
+) -> ComplianceFailure | None:
+    """First failing clause for one ctype, in `_first_failure`'s order,
+    computed from its members: fold the identifiers, group the dependencies,
+    count the children."""
+    if node is None:
+        return ComplianceFailure(ctype, "missing-spec-node", f"no spec node of ctype {ctype}")
+    if not all(c.id in node.aci for c in members):
+        return ComplianceFailure(
+            ctype, "identifier", f"{ctype} identifiers do not all match the spec node")
+
+    dep_groups: dict[str, list[ComponentId]] = {}
+    for c in members:
+        for dep in c.dependencies:
+            dep_groups.setdefault(dep.ctype, []).append(dep)
+    for dep_type in sorted(dep_groups):
+        fold = merge_identifiers(d.to_abstract() for d in dep_groups[dep_type])
+        if not any(fold <= entry for entry in node.dependencies):
+            return ComplianceFailure(
+                ctype, "dependencies",
+                f"{ctype} dependencies on {dep_type} match no dependency entry")
+
+    # Per child ctype: every member contributes its count (leaves count 0),
+    # so one member without such children widens the group's lower bound to 0.
+    counts: dict[str, list[int]] = {}
+    ids_of: dict[str, list[ComponentId]] = {}
+    for c in members:
+        own: dict[str, list[ComponentId]] = {}
+        for child in c.child_ids:
+            own.setdefault(child.ctype, []).append(child)
+        for child_type, ids in own.items():
+            counts.setdefault(child_type, []).append(len(ids))
+            ids_of.setdefault(child_type, []).extend(ids)
+    for child_type in sorted(counts):
+        slot = node.slot_for(child_type)
+        if slot is None:
+            return ComplianceFailure(
+                ctype, "unexpected-child-type",
+                f"{ctype} contains {child_type}, which has no child slot")
+        if not all(i in slot.aci for i in ids_of[child_type]):
+            return ComplianceFailure(
+                ctype, "child-identifier",
+                f"{ctype} children of ctype {child_type} do not all match the slot")
+        n = counts[child_type]
+        group = Interval(min(n) if len(n) == len(members) else 0, max(n))
+        if not group.included_in(slot.count):
+            return ComplianceFailure(
+                ctype, "child-interval",
+                f"{ctype} contains {group} of ctype {child_type}, allowed {slot.count}")
+
+    per_leaf = 1 if faithful_leaf_rule else 0
+    total = sum(per_leaf if c.is_leaf else len(c.child_ids) for c in members)
+    if total not in node.total:
+        return ComplianceFailure(
+            ctype, "total",
+            f"{ctype} contains {Interval(total, total)} children, allowed {node.total}")
+
+    if strict_lower_bounds:
+        for slot in sorted(node.children, key=lambda s: s.aci.ctype):
+            if slot.count.lo >= 1 and slot.aci.ctype not in counts:
+                return ComplianceFailure(
+                    ctype, "missing-required-child",
+                    f"{ctype} never contains {slot.aci.ctype}, "
+                    f"required at least {slot.count.lo}")
+    return None
 
 
 def direct_check(
@@ -185,100 +254,19 @@ def direct_check(
     """Compliance recomputed structurally from the components themselves.
 
     Same verdict as `compliant`, derived without building any inferred spec
-    set: per ctype, fold the identifiers, group the dependencies, count the
-    children.  Kept deliberately independent of the inference code path.
+    set: `_direct_failure` checks each ctype, in depth-first order from the
+    root.  Kept deliberately independent of the inference code path.
     """
     _checked_spec(spec)
     order = ctype_order(config)  # raises NotAConfiguration, through root_of
-
-    grouped: dict[str, list] = {}
+    grouped: dict[str, list[Component]] = {}
     for component in config:
         grouped.setdefault(component.id.ctype, []).append(component)
-
-    failures: list[ComplianceFailure] = []
-    for ctype in order:
-        members = grouped[ctype]
-        node = spec.spec_for(ctype)
-        if node is None:
-            failures.append(ComplianceFailure(
-                ctype, "missing-spec-node", f"no spec node of ctype {ctype}"))
-            continue
-
-        if not all(c.id in node.aci for c in members):
-            failures.append(ComplianceFailure(
-                ctype, "identifier", f"{ctype} identifiers do not all match the spec node"))
-            continue
-
-        dep_groups: dict[str, list[ComponentId]] = {}
-        for c in members:
-            for dep in c.dependencies:
-                dep_groups.setdefault(dep.ctype, []).append(dep)
-        failed = False
-        for dep_type in sorted(dep_groups):
-            fold = merge_identifiers(d.to_abstract() for d in dep_groups[dep_type])
-            if not any(fold <= entry for entry in node.dependencies):
-                failures.append(ComplianceFailure(
-                    ctype, "dependencies",
-                    f"{ctype} dependencies on {dep_type} match no dependency entry"))
-                failed = True
-                break
-        if failed:
-            continue
-
-        # Per child ctype: every member contributes its count (leaves count 0),
-        # so one member without such children widens the group's lower bound to 0.
-        counts: dict[str, list[int]] = {}
-        ids_of: dict[str, list[ComponentId]] = {}
-        for c in members:
-            own: dict[str, list[ComponentId]] = {}
-            for child in c.child_ids:
-                own.setdefault(child.ctype, []).append(child)
-            for child_type, ids in own.items():
-                counts.setdefault(child_type, []).append(len(ids))
-                ids_of.setdefault(child_type, []).extend(ids)
-        for child_type in sorted(counts):
-            slot = node.slot_for(child_type)
-            if slot is None:
-                failures.append(ComplianceFailure(
-                    ctype, "unexpected-child-type",
-                    f"{ctype} contains {child_type}, which has no child slot"))
-                failed = True
-                break
-            if not all(i in slot.aci for i in ids_of[child_type]):
-                failures.append(ComplianceFailure(
-                    ctype, "child-identifier",
-                    f"{ctype} children of ctype {child_type} do not all match the slot"))
-                failed = True
-                break
-            n = counts[child_type]
-            group = Interval(min(n) if len(n) == len(members) else 0, max(n))
-            if not group.included_in(slot.count):
-                failures.append(ComplianceFailure(
-                    ctype, "child-interval",
-                    f"{ctype} contains {group} of ctype {child_type}, allowed {slot.count}"))
-                failed = True
-                break
-        if failed:
-            continue
-
-        per_leaf = 1 if faithful_leaf_rule else 0
-        total = sum(per_leaf if c.is_leaf else len(c.child_ids) for c in members)
-        if total not in node.total:
-            failures.append(ComplianceFailure(
-                ctype, "total",
-                f"{ctype} contains {Interval(total, total)} children, allowed {node.total}"))
-            continue
-
-        if strict_lower_bounds:
-            for slot in sorted(node.children, key=lambda s: s.aci.ctype):
-                if slot.count.lo >= 1 and slot.aci.ctype not in counts:
-                    failures.append(ComplianceFailure(
-                        ctype, "missing-required-child",
-                        f"{ctype} never contains {slot.aci.ctype}, "
-                        f"required at least {slot.count.lo}"))
-                    break
-
-    return ComplianceVerdict.from_failures(failures)
+    failures = [_direct_failure(
+        ctype, grouped[ctype], spec.spec_for(ctype),
+        faithful_leaf_rule=faithful_leaf_rule,
+        strict_lower_bounds=strict_lower_bounds) for ctype in order]
+    return ComplianceVerdict.from_failures([f for f in failures if f is not None])
 
 
 def ci_compat_leq(

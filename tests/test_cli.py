@@ -112,6 +112,20 @@ class TestValidate:
         # the child-sum advisory fires too, but as a warning
         assert "warning [child-sum-advisory]" in out
 
+    def test_a_spec_without_a_root_node_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "cycle.csg"
+        path.write_text(
+            'spec s {\n'
+            '  node T { total: 1..1; contains { U: 1..1 } }\n'
+            '  node U { total: 1..1; contains { T: 1..1 } }\n'
+            '  root T;\n'
+            '}\n')
+        code, out, _ = run(capsys, "validate", "--spec", str(path))
+        assert code == 1
+        assert out.splitlines() == [
+            f"invalid spec: {path}",
+            "  violation [unique-root] no root: every spec node is a child of another"]
+
     def test_unparseable_text_exits_2(self, tmp_path, capsys):
         path = tmp_path / "garbage.cg"
         path.write_text("config ???")
@@ -554,6 +568,27 @@ class TestApplyUndo:
         code, out, err = run(capsys, "undo", str(app))
         assert (code, out) == (1, "")
         assert err.startswith("rejected:")
+        assert app.read_bytes() == before
+        assert journal.read_bytes() == journal_before
+
+    def test_undo_refuses_a_journal_entry_whose_change_does_not_redo(self, ws, capsys):
+        # The inverse still fits, but the change it records names an App
+        # version the file never had, so it cannot give the file back.
+        app = ws / "app.cg"
+        shutil.copy(ws / "psy1.cg", app)
+        journal = ws / "app.cg.journal"
+        code, _, _ = run(capsys, "apply", str(app), str(ws / "upgrade-to-v2.json"),
+                         "--spec", str(ws / "psycho.csg"))
+        assert code == 0
+        obj = json.loads(journal.read_text())
+        first_old_id = obj["change"]["replacements"][0][0]
+        assert first_old_id == ["App", "psycho", "IMsk", 1]
+        first_old_id[3] = 9
+        journal.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        before, journal_before = app.read_bytes(), journal.read_bytes()
+        code, out, err = run(capsys, "undo", str(app))
+        assert (code, out) == (1, "")
+        assert err == "rejected: configuration differs from what the entry produced\n"
         assert app.read_bytes() == before
         assert journal.read_bytes() == journal_before
 

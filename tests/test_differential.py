@@ -13,6 +13,9 @@ and `ctype_order`, which neither sorts nor pushes a child with no children
 of a ctype already seen, against the DFS that sorts every child set.
 Last, every component either configuration reader builds column by column
 is rebuilt through the checking constructors and must be the same value.
+Both compliance engines, each of which checks a ctype in one function that
+returns its first failing clause, are checked against `direct_check` as it
+was before, a loop that carried a flag out of each clause.
 The lifecycle kernel, whose branches return each change's inverse and raise
 the removal guards, is checked against the derivation that ran after it.
 """
@@ -23,6 +26,7 @@ import copy
 import itertools
 import pickle
 import random
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -33,6 +37,8 @@ from confkit import (
     INF,
     AbstractComponentId,
     ChildSlot,
+    ComplianceFailure,
+    ComplianceVerdict,
     Component,
     ComponentId,
     ComponentSpec,
@@ -40,6 +46,7 @@ from confkit import (
     DependencyGuard,
     ExtendChange,
     Interval,
+    InvalidSpec,
     JournalEntry,
     NameSet,
     NotAConfiguration,
@@ -55,6 +62,7 @@ from confkit import (
     ci_compat_leq,
     compliant,
     config_leq,
+    direct_check,
     extend,
     infer,
     infer_component,
@@ -63,6 +71,7 @@ from confkit import (
     print_config,
     remove,
     root_of,
+    sum_intervals,
     undo,
     unify,
     unify_dependencies,
@@ -73,7 +82,7 @@ from confkit import textfmt
 from confkit.lifecycle import _apply_raw
 from confkit.model import _EMPTY, ValidationReport, Violation
 from confkit.textfmt import ParseError
-from confkit.typecheck import CompatReason, _stand_in_reasons, ctype_order
+from confkit.typecheck import CompatReason, _checked_spec, _stand_in_reasons, ctype_order
 
 from conftest import widened_spec_for
 from strategies import layered_configurations
@@ -854,6 +863,207 @@ def test_compliant_orders_failures_as_the_oracle_does():
     assert counts == {2, 3, 4, 5}
     # failures at every depth, from the root to the Ms under a Sub
     assert {"Root", "Bin", "Lib", "L0", "Sub", "M", "LX"} <= subjects
+
+
+# --------------------------------------------------------------------------
+# Compliance clauses: each engine checks one ctype in one function that
+# returns its first failing clause.  The reference is `direct_check` as it
+# was before, a loop that carried a flag out of each clause; it is compared
+# with both engines, not only with one engine against the other, so a slip
+# the two shared would still show.
+
+
+def reference_direct_check(
+    config: Configuration,
+    spec: SpecSet,
+    *,
+    faithful_leaf_rule: bool = False,
+    strict_lower_bounds: bool = False,
+) -> ComplianceVerdict:
+    """Compliance recomputed structurally from the components themselves.
+
+    Same verdict as `compliant`, derived without building any inferred spec
+    set: per ctype, fold the identifiers, group the dependencies, count the
+    children.  Kept deliberately independent of the inference code path.
+    """
+    _checked_spec(spec)
+    order = ctype_order(config)  # raises NotAConfiguration, through root_of
+
+    grouped: dict[str, list] = {}
+    for component in config:
+        grouped.setdefault(component.id.ctype, []).append(component)
+
+    failures: list[ComplianceFailure] = []
+    for ctype in order:
+        members = grouped[ctype]
+        node = spec.spec_for(ctype)
+        if node is None:
+            failures.append(ComplianceFailure(
+                ctype, "missing-spec-node", f"no spec node of ctype {ctype}"))
+            continue
+
+        if not all(c.id in node.aci for c in members):
+            failures.append(ComplianceFailure(
+                ctype, "identifier", f"{ctype} identifiers do not all match the spec node"))
+            continue
+
+        dep_groups: dict[str, list[ComponentId]] = {}
+        for c in members:
+            for dep in c.dependencies:
+                dep_groups.setdefault(dep.ctype, []).append(dep)
+        failed = False
+        for dep_type in sorted(dep_groups):
+            fold = merge_identifiers(d.to_abstract() for d in dep_groups[dep_type])
+            if not any(fold <= entry for entry in node.dependencies):
+                failures.append(ComplianceFailure(
+                    ctype, "dependencies",
+                    f"{ctype} dependencies on {dep_type} match no dependency entry"))
+                failed = True
+                break
+        if failed:
+            continue
+
+        # Per child ctype: every member contributes its count (leaves count 0),
+        # so one member without such children widens the group's lower bound to 0.
+        counts: dict[str, list[int]] = {}
+        ids_of: dict[str, list[ComponentId]] = {}
+        for c in members:
+            own: dict[str, list[ComponentId]] = {}
+            for child in c.child_ids:
+                own.setdefault(child.ctype, []).append(child)
+            for child_type, ids in own.items():
+                counts.setdefault(child_type, []).append(len(ids))
+                ids_of.setdefault(child_type, []).extend(ids)
+        for child_type in sorted(counts):
+            slot = node.slot_for(child_type)
+            if slot is None:
+                failures.append(ComplianceFailure(
+                    ctype, "unexpected-child-type",
+                    f"{ctype} contains {child_type}, which has no child slot"))
+                failed = True
+                break
+            if not all(i in slot.aci for i in ids_of[child_type]):
+                failures.append(ComplianceFailure(
+                    ctype, "child-identifier",
+                    f"{ctype} children of ctype {child_type} do not all match the slot"))
+                failed = True
+                break
+            n = counts[child_type]
+            group = Interval(min(n) if len(n) == len(members) else 0, max(n))
+            if not group.included_in(slot.count):
+                failures.append(ComplianceFailure(
+                    ctype, "child-interval",
+                    f"{ctype} contains {group} of ctype {child_type}, allowed {slot.count}"))
+                failed = True
+                break
+        if failed:
+            continue
+
+        per_leaf = 1 if faithful_leaf_rule else 0
+        total = sum(per_leaf if c.is_leaf else len(c.child_ids) for c in members)
+        if total not in node.total:
+            failures.append(ComplianceFailure(
+                ctype, "total",
+                f"{ctype} contains {Interval(total, total)} children, allowed {node.total}"))
+            continue
+
+        if strict_lower_bounds:
+            for slot in sorted(node.children, key=lambda s: s.aci.ctype):
+                if slot.count.lo >= 1 and slot.aci.ctype not in counts:
+                    failures.append(ComplianceFailure(
+                        ctype, "missing-required-child",
+                        f"{ctype} never contains {slot.aci.ctype}, "
+                        f"required at least {slot.count.lo}"))
+                    break
+
+    return ComplianceVerdict.from_failures(failures)
+
+
+def layered_random_config(rng: random.Random) -> Configuration:
+    """`random_config` with each ctype replaced by the ctypes on its path
+    from the root, "T", "TU", "TUV" and so on: the ctypes form a tree,
+    which a spec can describe.  A dependency on a ctype that the depender's
+    ctype contains, which no spec allows beside the containment, is dropped."""
+    config = random_config(rng)
+    by_id, root = config.by_id(), root_of(config)
+    path, stack = {root.id: root.id.ctype}, [root]
+    while stack:
+        current = stack.pop()
+        for i in current.child_ids:
+            path[i] = path[current.id] + i.ctype
+            stack.append(by_id[i])
+
+    def moved(i: ComponentId) -> ComponentId:
+        return i.replace(ctype=path[i])
+
+    comps = []
+    for c in config:
+        deps = [moved(d) for d in c.dependencies if path[d][:-1] != path[c.id]]
+        if c.is_leaf:
+            comps.append(Component.leaf(moved(c.id), c.elements, deps))
+        else:
+            comps.append(Component.composite(moved(c.id), map(moved, c.child_ids), deps))
+    return Configuration(tuple(comps))
+
+
+def loosened_spec_for(config: Configuration, rng: random.Random, **flags) -> SpecSet:
+    """The inferred spec with every identity widened to its ctype (a slot
+    must name its node's family, so slots widen too) and, by a coin toss per
+    node, its dependency entries; child counts are kept and each total
+    covers the slots' sum.  It is valid more often than the inferred spec,
+    and the clauses after the identifier are reached."""
+    nodes = []
+    for cs in infer(config, **flags):
+        deps = cs.dependencies if rng.random() < 0.5 else {AbstractComponentId(d.ctype) for d in cs.dependencies}
+        both = (cs.total, sum_intervals(slot.count for slot in cs.children))
+        nodes.append(ComponentSpec(
+            AbstractComponentId(cs.ctype), deps,
+            {ChildSlot(AbstractComponentId(slot.aci.ctype), slot.count) for slot in cs.children},
+            Interval(min(i.lo for i in both), max(i.hi for i in both))))
+    return SpecSet(frozenset(nodes))
+
+
+def engine_outcome(engine, config: Configuration, spec: SpecSet, flags: dict):
+    try:
+        return engine(config, spec, **flags)
+    except InvalidSpec as exc:
+        return InvalidSpec, str(exc)
+
+
+def trimmed(config: Configuration, rng: random.Random) -> Configuration:
+    """The configuration with about a third of its non-root leaves gone."""
+    gone = {c.id for c in config if c.is_leaf and c.id != root_of(config).id and rng.random() < 0.3}
+    return Configuration(tuple(
+        Component.leaf(c.id, c.elements, c.dependencies - gone) if c.is_leaf
+        else Component.composite(c.id, c.child_ids - gone, c.dependencies - gone)
+        for c in config if c.id not in gone))
+
+
+@pytest.mark.parametrize("faithful_leaf_rule", [False, True])
+@pytest.mark.parametrize("strict_lower_bounds", [False, True])
+def test_both_engines_return_the_reference_direct_check_verdict(faithful_leaf_rule, strict_lower_bounds):
+    # each configuration meets the widened, tight and loosened specs of
+    # itself, of itself with leaves gone (and the reverse) and of the
+    # configuration before it, which break every clause between them
+    flags = {"faithful_leaf_rule": faithful_leaf_rule, "strict_lower_bounds": strict_lower_bounds}
+    rng = random.Random(20116)
+    configs = [layered_random_config(rng) for _ in range(200)]
+    seen: Counter = Counter()
+    for before, config in zip(configs[-1:] + configs, configs):
+        fewer = trimmed(config, rng)
+        for checked, of in ((config, config), (config, fewer), (fewer, config), (config, before)):
+            loosened = loosened_spec_for(of, rng, faithful_leaf_rule=faithful_leaf_rule)
+            for spec in (widened_spec_for(of), tight_spec_for(of), loosened):
+                want = engine_outcome(reference_direct_check, checked, spec, flags)
+                assert engine_outcome(direct_check, checked, spec, flags) == want
+                assert engine_outcome(compliant, checked, spec, flags) == want
+                if isinstance(want, ComplianceVerdict):
+                    seen.update(f.clause for f in want.failures)
+                    seen["compliant" if want.compliant else f"{min(len(want.failures), 3)} failures"] += 1
+    clauses = {"missing-spec-node", "identifier", "dependencies", "unexpected-child-type",
+               "child-identifier", "child-interval", "total"}
+    assert clauses | ({"missing-required-child"} if strict_lower_bounds else set()) <= set(seen)
+    assert min(seen["compliant"], seen["1 failures"], seen["2 failures"], seen["3 failures"]) >= 50
 
 
 # --------------------------------------------------------------------------

@@ -288,6 +288,13 @@ class TestUndoMismatch:
         with pytest.raises(JournalMismatch):
             undo(psy1, entry)
 
+    def test_undo_refuses_an_entry_whose_change_does_not_redo(self, psy1, cs_psycho):
+        stepped, entry = update(psy1, build_upgrade_change(), cs_psycho)
+        (old, new), *rest = entry.change.replacements
+        edited = UpdateChange(((old.replace(version=9), new), *rest))
+        with pytest.raises(JournalMismatch, match="configuration differs from what the entry produced"):
+            undo(stepped, JournalEntry(change=edited, inverse=entry.inverse))
+
     def test_double_undo_of_the_same_entry_fails(self, psy2, cs_psycho):
         removed, entry = remove(psy2, [MY_PSC, JULIB], cs_psycho)
         restored = undo(removed, entry)

@@ -290,6 +290,14 @@ class TestSpecConditions:
         report = validate_spec(SpecSet())
         assert conditions(report) == ["unique-root"]
 
+    def test_unique_root_when_two_nodes_contain_each_other(self):
+        t, u = AbstractComponentId("T"), AbstractComponentId("U")
+        report = validate_spec([
+            ComponentSpec(t, children=[ChildSlot(u, Interval(1, 1))], total=Interval(1, 1)),
+            ComponentSpec(u, children=[ChildSlot(t, Interval(1, 1))], total=Interval(1, 1))])
+        assert conditions(report) == ["unique-root"]
+        assert report.violations[0].message == "no root: every spec node is a child of another"
+
     def test_multiple_parents(self, cs_psycho):
         mutated = replace_node(
             cs_psycho, "PScr",

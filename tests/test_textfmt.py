@@ -190,6 +190,10 @@ class TestSpecGrammar:
         with pytest.raises(ParseError):
             parse_spec("spec s { node T { total: 0..0; depends { T, T } } root T; }")
 
+    def test_duplicate_dependency_constraint_rejected(self):
+        with pytest.raises(ParseError, match="expected each constraint at most once"):
+            parse_spec('spec s { node T { total: 0..0; depends { L(name: "a"; name: "b";) } } root T; }')
+
     def test_empty_prefix_rejected(self):
         with pytest.raises(ParseError):
             parse_spec('spec s { node T { name: ""*; total: 0..0; } root T; }')
@@ -446,6 +450,15 @@ class TestPrinting:
         with pytest.raises(ValueError, match="has no written form"):
             print_spec(SpecSet(frozenset(nodes)), root="R" if where != "root" else "my type")
 
+    @pytest.mark.parametrize("field", ["names", "origins", "versions"])
+    def test_an_empty_identity_set_has_no_written_form(self, field):
+        from confkit import AbstractComponentId, ComponentSpec, NameSet, OriginSet, SpecSet, VersionSet
+
+        empty = {"names": NameSet(), "origins": OriginSet(), "versions": VersionSet.of()}[field]
+        node = ComponentSpec(AbstractComponentId("T", **{field: empty}))
+        with pytest.raises(ValueError, match=f"an empty {field[:-1]} set has no written form"):
+            print_spec(SpecSet(frozenset({node})))
+
     def test_a_ctype_of_word_characters_round_trips(self):
         r = ComponentId("Rö_2", "r", "o", 1)
         leaf = ComponentId("_x²", "a", "o", 1)
@@ -578,6 +591,12 @@ class TestDot:
         assert "  PScr -> CGLib [style=dashed];" in dot.splitlines()
         assert "  PScr -> PScr [style=dashed];" in dot.splitlines()
         assert '"Psycho [2..*]\\nname: psy*\\norigin: IMsk"' in dot
+
+    def test_spec_dot_labels_a_version_span(self):
+        from confkit import AbstractComponentId, ComponentSpec, SpecSet, VersionSet
+
+        node = ComponentSpec(AbstractComponentId("T", versions=VersionSet.between(1, 2)))
+        assert '  T [label="T [0..0]\\nversion: 1..2"];' in to_dot(SpecSet(frozenset({node}))).splitlines()
 
     def test_dot_rejects_other_values(self):
         with pytest.raises(TypeError):
