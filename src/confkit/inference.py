@@ -18,11 +18,10 @@ from .model import (
     ComponentSpec,
     Component,
     Configuration,
-    NotAConfiguration,
     SpecSet,
     _children_of,
     _dependencies_of,
-    validate_configuration,
+    _valid,
 )
 
 
@@ -142,11 +141,8 @@ def infer_component(component: Component, *, faithful_leaf_rule: bool = False) -
 def infer(config: Configuration, *, faithful_leaf_rule: bool = False) -> SpecSet:
     """The minimal spec set a valid configuration complies with: one node
     per ctype, exactly what folding `unify` over `infer_component` gives."""
-    report = validate_configuration(config)
-    if not report.ok:
-        raise NotAConfiguration(report)
     groups: dict[str, list[Component]] = {}
-    for component in config:
+    for component in _valid(config):
         groups.setdefault(component.id.ctype, []).append(component)
     families = {ctype: (len(members), lift_identifiers([c.id for c in members]))
                 for ctype, members in groups.items()}

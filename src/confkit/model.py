@@ -176,7 +176,7 @@ class Configuration(_Value):
         return dict(self._by_id) if self._by_id is not None else {c.id: c for c in self.components}
 
     def __contains__(self, id: ComponentId) -> bool:
-        return any(c.id == id for c in self.components)
+        return id in self._by_id if self._by_id is not None else any(c.id == id for c in self.components)
 
 
 class ChildSlot(_Value):
@@ -361,21 +361,16 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
     nodes = list(spec)
     violations: list[Violation] = []
 
-    declared: dict[str, int] = {}
+    # the identifier families by ctype; `<=` holds only within one ctype,
+    # so a dependency is compared with the families of its own ctype
+    families: dict[str, list[AbstractComponentId]] = {}
     for cs in nodes:
-        declared[cs.ctype] = declared.get(cs.ctype, 0) + 1
-    for t in sorted(t for t, times in declared.items() if times > 1):
+        families.setdefault(cs.ctype, []).append(cs.aci)
+    for t in sorted(t for t, family in families.items() if len(family) > 1):
         violations.append(Violation(
             "duplicate-type", (t,), f"more than one spec node of ctype {t}"))
 
     acis = {cs.aci for cs in nodes}
-    by_type: dict[str, ComponentSpec] = {}
-    # `<=` holds only within one ctype, so a dependency is compared with
-    # the identifier families of its own ctype
-    families: dict[str, list[AbstractComponentId]] = {}
-    for cs in nodes:
-        by_type.setdefault(cs.ctype, cs)
-        families.setdefault(cs.ctype, []).append(cs.aci)
 
     for cs in sorted(nodes, key=lambda cs: cs.ctype):
         for slot in sorted(cs.children, key=lambda s: s.aci.ctype):
@@ -404,10 +399,10 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
     referenced: dict[str, list[str]] = {}
     for cs in nodes:
         for slot in cs.children:
-            if slot.aci.ctype in by_type:
+            if slot.aci.ctype in families:
                 referenced.setdefault(slot.aci.ctype, []).append(cs.ctype)
 
-    root_types = sorted(t for t in by_type if t not in referenced)
+    root_types = sorted(t for t in families if t not in referenced)
     if not nodes:
         violations.append(Violation("unique-root", (), "spec is empty"))
     elif not root_types:
@@ -445,13 +440,18 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
     return report
 
 
+def _valid(config: Configuration | Iterable[Component]) -> Configuration:
+    """The configuration as a `Configuration` that passed validation, so it keeps
+    its components by id and its root; raises NotAConfiguration otherwise."""
+    config = config if isinstance(config, Configuration) else Configuration(config)
+    if not validate_configuration(config).ok:
+        raise NotAConfiguration(config._report)
+    return config
+
+
 def root_of(config: Configuration | Iterable[Component]) -> Component:
     """The unique component not contained in any other, kept by validation, which runs first."""
-    config = config if isinstance(config, Configuration) else Configuration(config)
-    report = validate_configuration(config)
-    if not report.ok:
-        raise NotAConfiguration(report)
-    return config._root
+    return _valid(config)._root
 
 
 def spec_root(spec: SpecSet) -> ComponentSpec | None:

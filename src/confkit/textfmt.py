@@ -631,7 +631,7 @@ def check_config_text(text: str, filename: str = "<config>") -> tuple[Configurat
         read = _read_productions(text)
         if read is not None:
             return _assemble(*read)
-    except ValueError:  # an empty name or origin, a huge version, overlapping lists
+    except ValueError:  # a version too long for int(), or overlapping contains/depends lists
         pass
     p = _Parser(text, filename)
     p.take("config")

@@ -17,7 +17,7 @@ from .model import (
     Configuration,
     InvalidSpec,
     SpecSet,
-    root_of,
+    _valid,
     validate_spec,
 )
 from .inference import infer
@@ -66,10 +66,9 @@ _id_order = ComponentId.sort_key.fget
 def ctype_order(config: Configuration) -> list[str]:
     """Ctypes in depth-first order from the root, children sorted, first seen
     wins; a childless child of a ctype already seen would add nothing, so it
-    is not pushed.  Raises NotAConfiguration, through root_of, if the
-    configuration is invalid."""
-    stack = [root_of(config).id]
-    by_id = config._by_id  # kept by the validation root_of ran
+    is not pushed.  Raises NotAConfiguration if the configuration is invalid."""
+    config = _valid(config)
+    stack, by_id = [config._root.id], config._by_id
     order: dict[str, None] = {}  # the ctypes in first-seen order
     while stack:
         current = by_id[stack.pop()]
@@ -80,10 +79,11 @@ def ctype_order(config: Configuration) -> list[str]:
     return list(order)
 
 
-def _checked_spec(spec: SpecSet) -> None:
+def _checked(config: Configuration, spec: SpecSet) -> Configuration:
     report = validate_spec(spec)
     if not report.ok:
         raise InvalidSpec(report)
+    return _valid(config)
 
 
 def _first_failure(
@@ -158,7 +158,7 @@ def compliant(
     """Does the configuration comply with the spec?  Failures name the first
     broken clause per ctype, in depth-first order from the root; the tree is
     walked for that order only when two or more ctypes fail."""
-    _checked_spec(spec)
+    config = _checked(config, spec)
     failures: list[ComplianceFailure] = []
     for mine in infer(config, faithful_leaf_rule=faithful_leaf_rule):
         failure = _first_failure(
@@ -257,8 +257,8 @@ def direct_check(
     set: `_direct_failure` checks each ctype, in depth-first order from the
     root.  Kept deliberately independent of the inference code path.
     """
-    _checked_spec(spec)
-    order = ctype_order(config)  # raises NotAConfiguration, through root_of
+    config = _checked(config, spec)
+    order = ctype_order(config)
     grouped: dict[str, list[Component]] = {}
     for component in config:
         grouped.setdefault(component.id.ctype, []).append(component)
@@ -330,6 +330,7 @@ def compatible(
     Both configurations must comply with the spec, and every component of a
     needs a counterpart in b at the same or a newer version.
     """
+    a, b = _checked(a, spec), _valid(b)
     reasons: list[CompatReason] = []
     for label, config in (("A", a), ("B", b)):
         verdict = compliant(

@@ -77,12 +77,13 @@ from confkit import (
     unify_dependencies,
     update,
     validate_configuration,
+    validate_spec,
 )
 from confkit import textfmt
 from confkit.lifecycle import _apply_raw
 from confkit.model import _EMPTY, ValidationReport, Violation
 from confkit.textfmt import ParseError
-from confkit.typecheck import CompatReason, _checked_spec, _stand_in_reasons, ctype_order
+from confkit.typecheck import CompatReason, _stand_in_reasons, ctype_order
 
 from conftest import widened_spec_for
 from strategies import layered_configurations
@@ -871,6 +872,12 @@ def test_compliant_orders_failures_as_the_oracle_does():
 # was before, a loop that carried a flag out of each clause; it is compared
 # with both engines, not only with one engine against the other, so a slip
 # the two shared would still show.
+
+
+def _checked_spec(spec: SpecSet) -> None:
+    report = validate_spec(spec)
+    if not report.ok:
+        raise InvalidSpec(report)
 
 
 def reference_direct_check(

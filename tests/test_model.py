@@ -94,9 +94,15 @@ class TestConfigurationValue:
         assert psy1 != psy2
 
     def test_mapping_helpers(self, psy1):
+        absent = ComponentId("Psycho", "psy9", IMSK, 1)
+        lenient = Configuration(c for c in psy1 if c.id != GLIB1)  # Bin still contains GLIB1
+        assert not validate_configuration(lenient).ok
+        assert PSY1 in lenient and GLIB1 not in lenient and absent not in lenient
         assert len(psy1) == 6
         assert PSY1 in psy1
-        assert ComponentId("Psycho", "psy9", IMSK, 1) not in psy1
+        assert absent not in psy1
+        assert validate_configuration(psy1).ok  # the kept index answers from here on
+        assert PSY1 in psy1 and GLIB1 in psy1 and absent not in psy1
         assert psy1.by_id()[BIN1].child_ids == frozenset(
             {ComponentId("App", "psycho", IMSK, 1), GLIB1, ComponentId("MLib", "mlib.so", IMSK, 1)})
 

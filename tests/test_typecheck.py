@@ -29,11 +29,15 @@ from confkit import (
     config_leq,
     direct_check,
     infer,
+    root_of,
     spec_set_leq,
+    validate_spec,
 )
+from confkit.typecheck import ctype_order
 
 from conftest import (
     ACI_CGLIB,
+    ACI_PSCR,
     APP2,
     BIN1,
     DEF_PSC,
@@ -412,3 +416,37 @@ class TestConfigCompat:
     def test_config_leq_is_reflexive(self, cfg):
         assert config_leq(cfg, cfg)
         assert config_leq(cfg, cfg, relaxed=False)
+
+
+# --------------------------------------------------------------------------
+# Every form of a configuration gets the verdicts its `Configuration` gets
+
+
+def every_result(fresh, spec: SpecSet) -> tuple:
+    """What each engine returns, given a new argument from `fresh()` per call."""
+    return (compliant(fresh(), spec), direct_check(fresh(), spec),
+            compatible(fresh(), fresh(), spec), infer(fresh()),
+            ctype_order(fresh()), root_of(fresh()))
+
+
+def test_a_list_tuple_or_iterator_of_components_gets_the_configurations_results(psy2, cs_psycho):
+    # psy2 has two PScr members, one depending on a CGLib: with one PScr
+    # allowed, depending on PScr only, both Psycho and PScr fail, so
+    # `compliant` orders its failures by walking the tree.
+    def narrowed(cs: ComponentSpec) -> ComponentSpec:
+        if cs.ctype == "Psycho":
+            return cs.replace(children=frozenset(
+                s.replace(count=Interval(1, 1)) if s.aci == ACI_PSCR else s for s in cs.children))
+        if cs.ctype == "PScr":
+            return cs.replace(dependencies=frozenset({ACI_PSCR}))
+        return cs
+
+    two_fail = SpecSet(frozenset(map(narrowed, cs_psycho)))
+    assert validate_spec(two_fail).ok
+    components = psy2.components
+    for spec in (cs_psycho, two_fail):
+        expected = every_result(lambda: Configuration(components), spec)
+        for form in (Configuration, list, tuple, iter):
+            assert every_result(lambda: form(components), spec) == expected, (spec, form)
+    assert compliant(psy2, cs_psycho).compliant and compatible(psy2, psy2, cs_psycho).compatible
+    assert clauses(compliant(psy2, two_fail)) == [("Psycho", "child-interval"), ("PScr", "dependencies")]
