@@ -8,158 +8,17 @@ satisfies, checks compliance by refinement, compares configurations for
 upgrade compatibility, and applies guarded, journaled, reversible changes.
 """
 
-from .algebra import (
-    INF,
-    AbstractComponentId,
-    ComponentId,
-    Interval,
-    NameSet,
-    OriginSet,
-    TypeMismatch,
-    VersionSet,
-    lift_identifiers,
-    merge_identifiers,
-    sum_intervals,
-)
-from .inference import infer, infer_component, unify, unify_children, unify_dependencies
-from .lifecycle import (
-    ChangeSet,
-    DependencyGuard,
-    DuplicateComponentId,
-    ExtendChange,
-    JournalEntry,
-    JournalMismatch,
-    LifecycleError,
-    RemoveChange,
-    RootRemoval,
-    TypeChanged,
-    UnknownComponent,
-    UnknownParent,
-    UpdateChange,
-    WouldViolateSpec,
-    apply,
-    extend,
-    remove,
-    undo,
-    update,
-)
-from .model import (
-    ChildSlot,
-    Component,
-    ComponentSpec,
-    Configuration,
-    InvalidSpec,
-    NotAConfiguration,
-    SpecSet,
-    ValidationReport,
-    Violation,
-    root_of,
-    spec_root,
-    validate_configuration,
-    validate_spec,
-)
-from .textfmt import (
-    ConfigInvalid,
-    ParseError,
-    SourceSpan,
-    SpecInvalid,
-    kind_of,
-    parse_changeset,
-    parse_config,
-    parse_journal,
-    parse_spec,
-    print_changeset,
-    print_config,
-    print_spec,
-    to_dot,
-)
-from .typecheck import (
-    CompatReason,
-    CompatVerdict,
-    ComplianceFailure,
-    ComplianceVerdict,
-    ci_compat_leq,
-    compatible,
-    compliant,
-    component_spec_leq,
-    config_leq,
-    direct_check,
-    spec_set_leq,
-)
+from . import algebra, inference, lifecycle, model, textfmt, typecheck
+from .algebra import *
+from .inference import *
+from .lifecycle import *
+from .model import *
+from .textfmt import *
+from .typecheck import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INF",
-    "AbstractComponentId",
-    "ChangeSet",
-    "ChildSlot",
-    "CompatReason",
-    "CompatVerdict",
-    "ComplianceFailure",
-    "ComplianceVerdict",
-    "Component",
-    "ComponentId",
-    "ComponentSpec",
-    "ConfigInvalid",
-    "Configuration",
-    "DependencyGuard",
-    "DuplicateComponentId",
-    "ExtendChange",
-    "Interval",
-    "InvalidSpec",
-    "JournalEntry",
-    "JournalMismatch",
-    "LifecycleError",
-    "NameSet",
-    "NotAConfiguration",
-    "OriginSet",
-    "ParseError",
-    "RemoveChange",
-    "RootRemoval",
-    "SourceSpan",
-    "SpecInvalid",
-    "SpecSet",
-    "TypeChanged",
-    "TypeMismatch",
-    "UnknownComponent",
-    "UnknownParent",
-    "UpdateChange",
-    "ValidationReport",
-    "VersionSet",
-    "Violation",
-    "WouldViolateSpec",
-    "apply",
-    "ci_compat_leq",
-    "compatible",
-    "compliant",
-    "component_spec_leq",
-    "config_leq",
-    "direct_check",
-    "extend",
-    "infer",
-    "infer_component",
-    "kind_of",
-    "lift_identifiers",
-    "merge_identifiers",
-    "parse_changeset",
-    "parse_config",
-    "parse_journal",
-    "parse_spec",
-    "print_changeset",
-    "print_config",
-    "print_spec",
-    "remove",
-    "root_of",
-    "spec_root",
-    "spec_set_leq",
-    "sum_intervals",
-    "to_dot",
-    "undo",
-    "unify",
-    "unify_children",
-    "unify_dependencies",
-    "update",
-    "validate_configuration",
-    "validate_spec",
-]
+# Each public name is declared once, in the `__all__` of the module that
+# defines it; the package re-exports them all.
+__all__ = sorted(algebra.__all__ + inference.__all__ + lifecycle.__all__
+                 + model.__all__ + textfmt.__all__ + typecheck.__all__)

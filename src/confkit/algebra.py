@@ -13,6 +13,20 @@ from itertools import repeat
 from operator import attrgetter
 from typing import Iterable
 
+__all__ = [
+    "INF",
+    "AbstractComponentId",
+    "ComponentId",
+    "Interval",
+    "NameSet",
+    "OriginSet",
+    "TypeMismatch",
+    "VersionSet",
+    "lift_identifiers",
+    "merge_identifiers",
+    "sum_intervals",
+]
+
 INF: float = math.inf
 
 # A natural number, or INF for "unbounded".

@@ -24,6 +24,14 @@ from .model import (
     _valid,
 )
 
+__all__ = [
+    "infer",
+    "infer_component",
+    "unify",
+    "unify_children",
+    "unify_dependencies",
+]
+
 
 def unify_dependencies(
     a: Iterable[AbstractComponentId], b: Iterable[AbstractComponentId]
@@ -138,7 +146,8 @@ def infer_component(component: Component, *, faithful_leaf_rule: bool = False) -
     return SpecSet(frozenset({_group_spec([component], {component.id.ctype: family}, faithful_leaf_rule)}))
 
 
-def infer(config: Configuration, *, faithful_leaf_rule: bool = False) -> SpecSet:
+def infer(config: Configuration | Iterable[Component], *,
+          faithful_leaf_rule: bool = False) -> SpecSet:
     """The minimal spec set a valid configuration complies with: one node
     per ctype, exactly what folding `unify` over `infer_component` gives."""
     groups: dict[str, list[Component]] = {}

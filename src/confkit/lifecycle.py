@@ -21,6 +21,28 @@ from .model import (
 )
 from .typecheck import ComplianceVerdict, compliant
 
+__all__ = [
+    "ChangeSet",
+    "DependencyGuard",
+    "DuplicateComponentId",
+    "ExtendChange",
+    "JournalEntry",
+    "JournalMismatch",
+    "LifecycleError",
+    "RemoveChange",
+    "RootRemoval",
+    "TypeChanged",
+    "UnknownComponent",
+    "UnknownParent",
+    "UpdateChange",
+    "WouldViolateSpec",
+    "apply",
+    "extend",
+    "remove",
+    "undo",
+    "update",
+]
+
 
 class LifecycleError(Exception):
     """Base class for rejected configuration changes."""
@@ -233,13 +255,12 @@ def _apply_raw(config: Configuration, change: ChangeSet) -> tuple[Configuration,
 
 
 def _gated(config: Configuration, change: ChangeSet, spec: SpecSet, seq: int, *,
-           faithful_leaf_rule: bool, strict_lower_bounds: bool) -> tuple[Configuration, JournalEntry]:
+           strict_lower_bounds: bool) -> tuple[Configuration, JournalEntry]:
     """Apply the change, refuse a result that breaks the configuration or the
     spec, and journal the change with the inverse the kernel returned."""
     result, inverse = _apply_raw(config, change)
     try:
-        verdict = compliant(result, spec, faithful_leaf_rule=faithful_leaf_rule,
-                            strict_lower_bounds=strict_lower_bounds)
+        verdict = compliant(result, spec, strict_lower_bounds=strict_lower_bounds)
     except NotAConfiguration as exc:
         first = exc.report.errors[0]
         raise WouldViolateSpec(f"change breaks the configuration: {first.message}") from exc
@@ -254,12 +275,10 @@ def extend(
     change: ExtendChange,
     spec: SpecSet,
     *,
-    faithful_leaf_rule: bool = False,
     strict_lower_bounds: bool = False,
     seq: int = 0,
 ) -> tuple[Configuration, JournalEntry]:
-    return _gated(config, change, spec, seq,
-                  faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
+    return _gated(config, change, spec, seq, strict_lower_bounds=strict_lower_bounds)
 
 
 def update(
@@ -267,12 +286,10 @@ def update(
     change: UpdateChange,
     spec: SpecSet,
     *,
-    faithful_leaf_rule: bool = False,
     strict_lower_bounds: bool = False,
     seq: int = 0,
 ) -> tuple[Configuration, JournalEntry]:
-    return _gated(config, change, spec, seq,
-                  faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
+    return _gated(config, change, spec, seq, strict_lower_bounds=strict_lower_bounds)
 
 
 def remove(
@@ -280,12 +297,11 @@ def remove(
     ids: Iterable[ComponentId],
     spec: SpecSet,
     *,
-    faithful_leaf_rule: bool = False,
     strict_lower_bounds: bool = False,
     seq: int = 0,
 ) -> tuple[Configuration, JournalEntry]:
     return _gated(config, RemoveChange(tuple(ids)), spec, seq,
-                  faithful_leaf_rule=faithful_leaf_rule, strict_lower_bounds=strict_lower_bounds)
+                  strict_lower_bounds=strict_lower_bounds)
 
 
 def apply(

@@ -22,6 +22,22 @@ from .algebra import (
     sum_intervals,
 )
 
+__all__ = [
+    "ChildSlot",
+    "Component",
+    "ComponentSpec",
+    "Configuration",
+    "InvalidSpec",
+    "NotAConfiguration",
+    "SpecSet",
+    "ValidationReport",
+    "Violation",
+    "root_of",
+    "spec_root",
+    "validate_configuration",
+    "validate_spec",
+]
+
 
 class Violation(_Value):
     __slots__ = ("condition", "subjects", "message", "severity")

@@ -57,6 +57,22 @@ from .model import (
     validate_spec,
 )
 
+__all__ = [
+    "ConfigInvalid",
+    "ParseError",
+    "SourceSpan",
+    "SpecInvalid",
+    "kind_of",
+    "parse_changeset",
+    "parse_config",
+    "parse_journal",
+    "parse_spec",
+    "print_changeset",
+    "print_config",
+    "print_spec",
+    "to_dot",
+]
+
 SPEC_KEYWORDS = frozenset({
     "spec", "node", "root", "name", "origin", "version", "total",
     "contains", "depends", "any",
@@ -800,15 +816,14 @@ def print_spec(spec: SpecSet, *, name: str | None = None,
     return "\n".join(lines) + "\n"
 
 
-def print_config(config: Configuration, *, name: str | None = None) -> str:
+def print_config(config: Configuration) -> str:
     """Canonical `.cg` text: components sorted by identifier, handles derived
-    from names."""
+    from names, named after the unique root (`config` if there is none)."""
     comps = sorted(config, key=lambda c: c.id.sort_key)
     handles = _assign_handles([c.id for c in comps])
-    if name is None:
-        referenced = {child for c in comps for child in c.child_ids}
-        roots = [c for c in comps if c.id not in referenced]
-        name = _sanitize(roots[0].id.name) if len(roots) == 1 else "config"
+    referenced = {child for c in comps for child in c.child_ids}
+    roots = [c for c in comps if c.id not in referenced]
+    name = _sanitize(roots[0].id.name) if len(roots) == 1 else "config"
     lines = [f"config {name} {{"]
     for c in comps:
         head = (f"  component {handles[c.id]} : {_ctype(c.id.ctype)} "

@@ -10,6 +10,8 @@ in the newer one at the same or a later version.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .algebra import ComponentId, Interval, _set, _Value, merge_identifiers
 from .model import (
     Component,
@@ -21,6 +23,20 @@ from .model import (
     validate_spec,
 )
 from .inference import infer
+
+__all__ = [
+    "CompatReason",
+    "CompatVerdict",
+    "ComplianceFailure",
+    "ComplianceVerdict",
+    "ci_compat_leq",
+    "compatible",
+    "compliant",
+    "component_spec_leq",
+    "config_leq",
+    "direct_check",
+    "spec_set_leq",
+]
 
 
 class ComplianceFailure(_Value):
@@ -63,7 +79,7 @@ class CompatVerdict(_Value):
 _id_order = ComponentId.sort_key.fget
 
 
-def ctype_order(config: Configuration) -> list[str]:
+def ctype_order(config: Configuration | Iterable[Component]) -> list[str]:
     """Ctypes in depth-first order from the root, children sorted, first seen
     wins; a childless child of a ctype already seen would add nothing, so it
     is not pushed.  Raises NotAConfiguration if the configuration is invalid."""
@@ -79,7 +95,7 @@ def ctype_order(config: Configuration) -> list[str]:
     return list(order)
 
 
-def _checked(config: Configuration, spec: SpecSet) -> Configuration:
+def _checked(config: Configuration | Iterable[Component], spec: SpecSet) -> Configuration:
     report = validate_spec(spec)
     if not report.ok:
         raise InvalidSpec(report)
@@ -149,7 +165,7 @@ def spec_set_leq(a: SpecSet, b: SpecSet) -> bool:
 
 
 def compliant(
-    config: Configuration,
+    config: Configuration | Iterable[Component],
     spec: SpecSet,
     *,
     faithful_leaf_rule: bool = False,
@@ -245,7 +261,7 @@ def _direct_failure(
 
 
 def direct_check(
-    config: Configuration,
+    config: Configuration | Iterable[Component],
     spec: SpecSet,
     *,
     faithful_leaf_rule: bool = False,
@@ -317,13 +333,11 @@ def config_leq(a: Configuration, b: Configuration, *, relaxed: bool = True) -> b
 
 
 def compatible(
-    a: Configuration,
-    b: Configuration,
+    a: Configuration | Iterable[Component],
+    b: Configuration | Iterable[Component],
     spec: SpecSet,
     *,
     relaxed: bool = True,
-    faithful_leaf_rule: bool = False,
-    strict_lower_bounds: bool = False,
 ) -> CompatVerdict:
     """Is b a compatible successor of a under the spec?
 
@@ -333,10 +347,7 @@ def compatible(
     a, b = _checked(a, spec), _valid(b)
     reasons: list[CompatReason] = []
     for label, config in (("A", a), ("B", b)):
-        verdict = compliant(
-            config, spec,
-            faithful_leaf_rule=faithful_leaf_rule,
-            strict_lower_bounds=strict_lower_bounds)
+        verdict = compliant(config, spec)
         if not verdict.compliant:
             subject = verdict.failures[0].subject
             reasons.append(CompatReason(subject, f"not-compliant-{label}"))

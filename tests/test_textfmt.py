@@ -10,17 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confkit import (
+    AbstractComponentId,
+    ChildSlot,
     Component,
     ComponentId,
+    ComponentSpec,
     ConfigInvalid,
     Configuration,
     ExtendChange,
+    Interval,
     JournalEntry,
+    NameSet,
+    OriginSet,
     ParseError,
     RemoveChange,
     SourceSpan,
     SpecInvalid,
+    SpecSet,
     UpdateChange,
+    VersionSet,
     kind_of,
     parse_changeset,
     parse_config,
@@ -193,6 +201,12 @@ class TestSpecGrammar:
     def test_duplicate_dependency_constraint_rejected(self):
         with pytest.raises(ParseError, match="expected each constraint at most once"):
             parse_spec('spec s { node T { total: 0..0; depends { L(name: "a"; name: "b";) } } root T; }')
+
+    def test_unknown_dependency_constraint_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_spec("spec s { node T { total: 0..0; depends { T(foo: 1;) } } root T; }")
+        assert str(exc.value) == (
+            "<spec>:1:44: expected a name, origin, or version constraint, found 'foo'")
 
     def test_empty_prefix_rejected(self):
         with pytest.raises(ParseError):
@@ -545,6 +559,21 @@ class TestRoundTrips:
         reparsed = parse_spec(printed)
         assert reparsed.specs == spec.specs
         assert print_spec(reparsed) == printed
+
+    def test_a_dependency_wider_than_its_target_prints_any_fields(self):
+        # such a spec is invalid; printing it keeps the violation readable
+        lib = ComponentSpec(AbstractComponentId(
+            "Lib", NameSet.of("a.so"), OriginSet.of("o"), VersionSet.of(1)))
+        app = ComponentSpec(AbstractComponentId("App"), dependencies=[AbstractComponentId("Lib")])
+        root = ComponentSpec(AbstractComponentId("R"), total=Interval(2, 2), children=[
+            ChildSlot(app.aci, Interval(1, 1)), ChildSlot(lib.aci, Interval(1, 1))])
+        spec = SpecSet([root, app, lib])
+        printed = print_spec(spec)
+        assert "    depends { Lib(name: any; origin: any; version: any;) }\n" in printed
+        reparsed, report = check_spec_text(printed)
+        assert reparsed is None
+        assert [v.condition for v in report.errors] == ["dependency-coverage"]
+        assert report.violations == validate_spec(spec).violations
 
     @settings(max_examples=200)
     @given(configurations())

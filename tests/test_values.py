@@ -9,6 +9,8 @@ defaults.  No test here depends on how the classes are implemented.
 from __future__ import annotations
 
 import copy
+import importlib
+import inspect
 import pickle
 
 import pytest
@@ -191,6 +193,39 @@ def test_every_public_value_class_is_covered():
 def test_every_public_name_resolves():
     for name in confkit.__all__:
         assert getattr(confkit, name) is not None, name
+
+
+MODULES = ("algebra", "inference", "lifecycle", "model", "textfmt", "typecheck")
+
+
+def test_each_public_name_is_declared_once_in_its_defining_module():
+    names = []
+    for module in map(importlib.import_module, (f"confkit.{m}" for m in MODULES)):
+        for name in module.__all__:
+            value = getattr(module, name)  # raises if the name is not bound there
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == module.__name__, name
+            assert getattr(confkit, name) is value, name
+        names += module.__all__
+    assert len(names) == len(set(names))
+    assert set(confkit.__all__) == set(names)
+
+
+def test_keyword_options():
+    def options(fn):
+        return {p.name for p in inspect.signature(fn).parameters.values()
+                if p.kind is inspect.Parameter.KEYWORD_ONLY}
+    assert options(confkit.compatible) == {"relaxed"}
+    for fn in (confkit.extend, confkit.update, confkit.remove):
+        assert options(fn) == {"strict_lower_bounds", "seq"}
+    assert options(confkit.print_config) == set()
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace: dict = {}
+    exec("from confkit import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(confkit.__all__)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
