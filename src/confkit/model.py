@@ -242,9 +242,9 @@ class SpecSet(_Value):
     conditions a full configuration spec must meet (see validate_spec).
     """
 
-    # _report: validate_spec's report, kept on first use: the value is immutable
+    # _report and _root (the root node, or None): kept by validate_spec, valid or not
     # _nodes: the nodes by ctype, built with the value
-    __slots__ = ("specs", "_report", "_nodes")
+    __slots__ = ("specs", "_report", "_root", "_nodes")
 
     def __init__(self, specs: Iterable[ComponentSpec] = frozenset()) -> None:
         specs = frozenset(specs)
@@ -255,6 +255,7 @@ class SpecSet(_Value):
             nodes[cs.ctype] = cs
         _set(self, "specs", specs)
         _set(self, "_report", None)
+        _set(self, "_root", None)
         _set(self, "_nodes", nodes)
 
     def __iter__(self) -> Iterator[ComponentSpec]:
@@ -371,7 +372,7 @@ def validate_configuration(config: Configuration | Iterable[Component]) -> Valid
 
 def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
     """Check the spec conditions; report every violation, raise nothing.
-    A `SpecSet` is checked once and keeps its report; a list every time."""
+    A `SpecSet` is checked once and keeps its report and its root node; a list every time."""
     if isinstance(spec, SpecSet) and spec._report is not None:
         return spec._report
     nodes = list(spec)
@@ -453,6 +454,7 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
     report = ValidationReport(tuple(violations))
     if isinstance(spec, SpecSet):
         _set(spec, "_report", report)
+        _set(spec, "_root", spec.spec_for(root_types[0]) if len(root_types) == 1 else None)
     return report
 
 
@@ -471,9 +473,6 @@ def root_of(config: Configuration | Iterable[Component]) -> Component:
 
 
 def spec_root(spec: SpecSet) -> ComponentSpec | None:
-    """The spec node referenced by no child slot, if exactly one exists."""
-    referenced = {slot.aci.ctype for cs in spec for slot in cs.children}
-    candidates = [cs for cs in spec.sorted_specs() if cs.ctype not in referenced]
-    if len(candidates) == 1:
-        return candidates[0]
-    return None
+    """The spec node referenced by no child slot, if exactly one exists; kept by validation."""
+    validate_spec(spec)
+    return spec._root

@@ -52,6 +52,7 @@ from .model import (
     ValidationReport,
     Violation,
     _EMPTY,
+    _valid,
     spec_root,
     validate_configuration,
     validate_spec,
@@ -711,18 +712,22 @@ def _sanitize(name: str) -> str:
     return out
 
 
-def _assign_handles(ids: list[ComponentId]) -> dict[ComponentId, str]:
+def _assign_handles(config: Configuration) -> tuple[Component, list[Component], dict[ComponentId, str]]:
+    """A valid configuration's root, its components sorted by identifier and a
+    handle for each, derived from its name; raises NotAConfiguration otherwise."""
+    config = _valid(config)
+    comps = sorted(config, key=lambda c: c.id.sort_key)
     used: set[str] = set()
     handles: dict[ComponentId, str] = {}
-    for ci in ids:
-        base = _sanitize(ci.name)
+    for c in comps:
+        base = _sanitize(c.id.name)
         candidate, n = base, 2
         while candidate in used:
             candidate = f"{base}_{n}"
             n += 1
         used.add(candidate)
-        handles[ci] = candidate
-    return handles
+        handles[c.id] = candidate
+    return config._root, comps, handles
 
 
 def _fmt_nameset(ns: NameSet) -> str:
@@ -817,14 +822,10 @@ def print_spec(spec: SpecSet, *, name: str | None = None,
 
 
 def print_config(config: Configuration) -> str:
-    """Canonical `.cg` text: components sorted by identifier, handles derived
-    from names, named after the unique root (`config` if there is none)."""
-    comps = sorted(config, key=lambda c: c.id.sort_key)
-    handles = _assign_handles([c.id for c in comps])
-    referenced = {child for c in comps for child in c.child_ids}
-    roots = [c for c in comps if c.id not in referenced]
-    name = _sanitize(roots[0].id.name) if len(roots) == 1 else "config"
-    lines = [f"config {name} {{"]
+    """Canonical `.cg` text of a valid configuration: components sorted by
+    identifier, handles derived from names, named after the root."""
+    root, comps, handles = _assign_handles(config)
+    lines = [f"config {_sanitize(root.id.name)} {{"]
     for c in comps:
         head = (f"  component {handles[c.id]} : {_ctype(c.id.ctype)} "
                 f"({_quote(c.id.name)}, {_quote(c.id.origin)}, {c.id.version})")
@@ -833,11 +834,11 @@ def print_config(config: Configuration) -> str:
             payload = f"files [{', '.join(_quote(e) for e in sorted(c.elements))}]"
         else:
             kids = sorted(c.child_ids, key=lambda i: i.sort_key)
-            payload = f"contains [{', '.join(handles.get(i) or _sanitize(i.name) for i in kids)}]"
+            payload = f"contains [{', '.join(handles[i] for i in kids)}]"
         dep_part = ""
         if c.dependencies:
             deps = sorted(c.dependencies, key=lambda i: i.sort_key)
-            dep_part = f" depends [{', '.join(handles.get(i) or _sanitize(i.name) for i in deps)}]"
+            dep_part = f" depends [{', '.join(handles[i] for i in deps)}]"
         lines.append(f"{head} {payload}{dep_part};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -846,26 +847,32 @@ def print_config(config: Configuration) -> str:
 # --------------------------------------------------------------------------
 # DOT export
 
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _dot_id(handle: str) -> str:
+    """A handle as a DOT id: DOT's keywords, in any case, are written quoted."""
+    return f'"{handle}"' if handle.lower() in _DOT_KEYWORDS else handle
+
+
 def _config_to_dot(config: Configuration) -> str:
-    comps = sorted(config, key=lambda c: c.id.sort_key)
-    handles = _assign_handles([c.id for c in comps])
+    _, comps, handles = _assign_handles(config)
+    ids = {i: _dot_id(h) for i, h in handles.items()}
     lines = ["digraph config {", "  node [shape=box];"]
     for c in comps:
         label = "\\n".join((_dot_escape(f"{c.id.name} : {c.id.ctype}"),
                             _dot_escape(f"({c.id.origin}, v{c.id.version})")))
-        lines.append(f'  {handles[c.id]} [label="{label}"];')
+        lines.append(f'  {ids[c.id]} [label="{label}"];')
     for c in comps:
         for child in sorted(c.child_ids, key=lambda i: i.sort_key):
-            if child in handles:
-                lines.append(f"  {handles[c.id]} -> {handles[child]};")
+            lines.append(f"  {ids[c.id]} -> {ids[child]};")
     for c in comps:
         for dep in sorted(c.dependencies, key=lambda i: i.sort_key):
-            if dep in handles:
-                lines.append(f"  {handles[c.id]} -> {handles[dep]} [style=dashed];")
+            lines.append(f"  {ids[c.id]} -> {ids[dep]} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -877,7 +884,7 @@ def _plain_nameset(ns: NameSet) -> str:
 
 def _spec_to_dot(spec: SpecSet) -> str:
     nodes = spec.sorted_specs()
-    ids = {node.ctype: _sanitize(node.ctype) for node in nodes}
+    ids = {node.ctype: _dot_id(_sanitize(node.ctype)) for node in nodes}
     lines = ["digraph spec {", "  node [shape=box];"]
     for node in nodes:
         label_lines = [f"{node.ctype} [{node.total}]"]
@@ -891,11 +898,11 @@ def _spec_to_dot(spec: SpecSet) -> str:
         lines.append(f'  {ids[node.ctype]} [label="{label}"];')
     for node in nodes:
         for slot in sorted(node.children, key=lambda s: s.aci.ctype):
-            target = ids.get(slot.aci.ctype, _sanitize(slot.aci.ctype))
+            target = ids.get(slot.aci.ctype) or _dot_id(_sanitize(slot.aci.ctype))
             lines.append(f'  {ids[node.ctype]} -> {target} [label="{slot.count}"];')
     for node in nodes:
         for dep in sorted(node.dependencies, key=lambda d: d.ctype):
-            target = ids.get(dep.ctype, _sanitize(dep.ctype))
+            target = ids.get(dep.ctype) or _dot_id(_sanitize(dep.ctype))
             lines.append(f"  {ids[node.ctype]} -> {target} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,6 +18,8 @@ returns its first failing clause, are checked against `direct_check` as it
 was before, a loop that carried a flag out of each clause.
 The lifecycle kernel, whose branches return each change's inverse and raise
 the removal guards, is checked against the derivation that ran after it.
+`spec_root`, which reads the root node `validate_spec` kept, is checked
+against the referenced-set rule it computed before, on valid and invalid specs.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from confkit import (
     print_config,
     remove,
     root_of,
+    spec_root,
     sum_intervals,
     undo,
     unify,
@@ -85,8 +88,8 @@ from confkit.model import _EMPTY, ValidationReport, Violation
 from confkit.textfmt import ParseError
 from confkit.typecheck import CompatReason, _stand_in_reasons, ctype_order
 
-from conftest import widened_spec_for
-from strategies import layered_configurations
+from conftest import build_cs_psycho, widened_spec_for
+from strategies import configurations, layered_configurations, spec_sets
 
 CTYPES = ("T", "U", "V")
 NAMES = ("a", "b", "c")  # shared by every ctype
@@ -1220,3 +1223,42 @@ def test_each_kernel_branch_returns_the_inverse_the_reference_derives_after_it(c
             assert got == outcome(reference, cfg, change, spec, flags)
             if isinstance(got[1], JournalEntry):
                 assert undo(Configuration(got[0]), got[1]) == cfg
+
+
+# --------------------------------------------------------------------------
+# The root node a spec keeps against the rule `spec_root` applied before
+
+
+def reference_spec_root(spec: SpecSet) -> ComponentSpec | None:
+    """The spec node referenced by no child slot, if exactly one exists."""
+    referenced = {slot.aci.ctype for cs in spec for slot in cs.children}
+    candidates = [cs for cs in spec.sorted_specs() if cs.ctype not in referenced]
+    if len(candidates) == 1:
+        return candidates[0]
+    return None
+
+
+SPEC_SOURCES = {
+    "spec_sets": spec_sets(),
+    # most inferred specs are invalid; each keeps its root all the same
+    "inferred": configurations().map(infer),
+    "inferred_layered": layered_configurations().map(infer),
+}
+
+
+@pytest.mark.parametrize("source", sorted(SPEC_SOURCES))
+@seed(20116)
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_kept_spec_root_equals_the_referenced_set_rule(source, data):
+    spec = data.draw(SPEC_SOURCES[source])
+    assert spec_root(spec) is reference_spec_root(spec)
+
+
+def test_kept_spec_root_equals_the_referenced_set_rule_on_the_model_cases():
+    two_roots = SpecSet(frozenset({
+        ComponentSpec(AbstractComponentId("A")),
+        ComponentSpec(AbstractComponentId("B")),
+    }))
+    for spec in (build_cs_psycho(), SpecSet(), two_roots):
+        assert spec_root(spec) is reference_spec_root(spec)

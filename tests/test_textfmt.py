@@ -21,6 +21,7 @@ from confkit import (
     Interval,
     JournalEntry,
     NameSet,
+    NotAConfiguration,
     OriginSet,
     ParseError,
     RemoveChange,
@@ -496,16 +497,19 @@ class TestPrinting:
         text = print_spec(SpecSet(frozenset({node})))
         assert "version: 2..2;" in text
 
-    def test_undeclared_children_and_dependencies_print_their_sanitized_names(self):
-        # Not a valid configuration: the child and the dependency are not
-        # members, so they have no handle and print under their name.
+    @pytest.mark.parametrize("render", [print_config, to_dot])
+    def test_an_invalid_configuration_is_refused(self, render):
+        # Neither text would read back: an undeclared member has no handle,
+        # and a configuration with two roots has no name.
         r = ComponentId("R", "r", "o", 1)
-        cfg = Configuration((Component.composite(
+        undeclared = Configuration((Component.composite(
             r, {ComponentId("T", "9 kid", "o", 1)}, [ComponentId("L", "lib.so", "o", 2)]),))
-        assert print_config(cfg) == (
-            "config r {\n"
-            '  component r : R ("r", "o", 1) contains [_9_kid] depends [lib_so];\n'
-            "}\n")
+        two_roots = Configuration((Component.leaf(r), Component.leaf(ComponentId("R", "s", "o", 1))))
+        for cfg, conditions in ((undeclared, {"children-closure", "dependency-closure"}),
+                                (two_roots, {"unique-root"})):
+            with pytest.raises(NotAConfiguration) as exc:
+                render(cfg)
+            assert {v.condition for v in exc.value.report.errors} == conditions
 
     def test_each_handle_is_sanitized_once(self, psy2, monkeypatch):
         import confkit.textfmt as textfmt
@@ -626,6 +630,38 @@ class TestDot:
 
         node = ComponentSpec(AbstractComponentId("T", versions=VersionSet.between(1, 2)))
         assert '  T [label="T [0..0]\\nversion: 1..2"];' in to_dot(SpecSet(frozenset({node}))).splitlines()
+
+    def test_dot_keywords_in_any_case_are_quoted_ids(self):
+        # Unquoted, `Node [label=...]` would set the attributes of every node.
+        root = ComponentId("Graph", "edge", "o", 1)
+        strict, graph, edges = (ComponentId("Node", n, "o", 1) for n in ("Strict", "GRAPH", "edges"))
+        cfg = Configuration((Component.composite(root, {strict, graph, edges}),
+                             Component.leaf(strict, dependencies=[graph]),
+                             Component.leaf(graph), Component.leaf(edges)))
+        assert to_dot(cfg).splitlines()[2:] == [
+            '  "edge" [label="edge : Graph\\n(o, v1)"];',
+            '  "GRAPH" [label="GRAPH : Node\\n(o, v1)"];',
+            '  "Strict" [label="Strict : Node\\n(o, v1)"];',
+            '  edges [label="edges : Node\\n(o, v1)"];',
+            '  "edge" -> "GRAPH";',
+            '  "edge" -> "Strict";',
+            '  "edge" -> edges;',
+            '  "Strict" -> "GRAPH" [style=dashed];',
+            "}",
+        ]
+        assert "component edge : Graph" in print_config(cfg)  # `.cg` handles stay bare
+        spec = parse_spec("spec s { node Graph { total: 2..2; contains { Node: 1..1, Nodes: 1..1 } }"
+                          " node Node { total: 0..0; depends { Nodes } } node Nodes { total: 0..0; }"
+                          " root Graph; }")
+        assert to_dot(spec).splitlines()[2:] == [
+            '  "Graph" [label="Graph [2..2]"];',
+            '  "Node" [label="Node [0..0]"];',
+            '  Nodes [label="Nodes [0..0]"];',
+            '  "Graph" -> "Node" [label="1..1"];',
+            '  "Graph" -> Nodes [label="1..1"];',
+            '  "Node" -> Nodes [style=dashed];',
+            "}",
+        ]
 
     def test_dot_rejects_other_values(self):
         with pytest.raises(TypeError):
