@@ -22,7 +22,11 @@ from .lifecycle import (
     RootRemoval,
     TypeChanged,
     WouldViolateSpec,
+    _open_entries,
     apply,
+    journal_entry_to_line,
+    parse_changeset,
+    parse_journal,
     undo,
 )
 from .model import InvalidSpec, NotAConfiguration, ValidationReport, root_of
@@ -30,11 +34,8 @@ from .textfmt import (
     ParseError,
     check_config_text,
     check_spec_text,
-    journal_entry_to_line,
     kind_of,
-    parse_changeset,
     parse_config,
-    parse_journal,
     parse_spec,
     print_config,
     print_spec,
@@ -182,17 +183,6 @@ def cmd_apply(args: argparse.Namespace, fmt: str) -> int:
     _commit(args.config, text, journal_path, entry)
     _emit(fmt, payload, [f"applied: {args.config} rewritten (journal seq {seq})"])
     return 0
-
-
-def _open_entries(entries: list[JournalEntry]) -> list[JournalEntry]:
-    """Entries not yet cancelled by a reversal, oldest first."""
-    open_stack: list[JournalEntry] = []
-    for entry in entries:
-        if entry.undoes is not None and open_stack and open_stack[-1].seq == entry.undoes:
-            open_stack.pop()
-        else:
-            open_stack.append(entry)
-    return open_stack
 
 
 def cmd_undo(args: argparse.Namespace, fmt: str) -> int:

@@ -1,15 +1,17 @@
 """Guarded configuration changes: extend, update, remove, undo, and `apply`
-for a change of any kind.
+for a change of any kind; and the JSON codec of changesets and journals.
 
 Every operation is pure: it takes a configuration, returns the changed one
 plus a journal entry whose inverse restores the input exactly.  A change is
 only accepted if the result is a valid, spec-compliant configuration —
-otherwise the operation raises and nothing is observable.
+otherwise the operation raises and nothing is observable.  A changeset file
+holds one JSON object; a journal holds one JSON entry per line.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import json
+from typing import Callable, Iterable, Mapping
 
 from .algebra import ComponentId, _set, _Value
 from .model import (
@@ -19,6 +21,7 @@ from .model import (
     SpecSet,
     validate_configuration,
 )
+from .textfmt import ParseError, SourceSpan, _brief, _cut
 from .typecheck import ComplianceVerdict, compliant
 
 __all__ = [
@@ -38,6 +41,9 @@ __all__ = [
     "WouldViolateSpec",
     "apply",
     "extend",
+    "parse_changeset",
+    "parse_journal",
+    "print_changeset",
     "remove",
     "undo",
     "update",
@@ -343,3 +349,178 @@ def undo(config: Configuration, entry: JournalEntry) -> Configuration:
     if redone != set(config):
         raise JournalMismatch("configuration differs from what the entry produced")
     return result
+
+
+# --------------------------------------------------------------------------
+# JSON changesets and journals
+
+def component_id_to_obj(ci: ComponentId) -> list:
+    return [ci.ctype, ci.name, ci.origin, ci.version]
+
+
+def component_id_from_obj(obj: object) -> ComponentId:
+    if (not isinstance(obj, list) or len(obj) != 4
+            or not all(isinstance(x, str) for x in obj[:3])
+            or not isinstance(obj[3], int) or isinstance(obj[3], bool)):
+        raise ValueError(f"a component id must be [type, name, origin, version]: {_brief(obj)}")
+    return ComponentId(obj[0], obj[1], obj[2], obj[3])
+
+
+def component_to_obj(c: Component) -> dict:
+    obj: dict = {"id": component_id_to_obj(c.id)}
+    if c.is_leaf:
+        assert c.elements is not None
+        obj["files"] = sorted(c.elements)
+    else:
+        obj["children"] = [component_id_to_obj(i) for i in _sorted_ids(c.child_ids)]
+    if c.dependencies:
+        obj["depends"] = [component_id_to_obj(i) for i in _sorted_ids(c.dependencies)]
+    return obj
+
+
+def component_from_obj(obj: object) -> Component:
+    if not isinstance(obj, dict) or "id" not in obj:
+        raise ValueError(f"a component must be an object with an 'id': {_brief(obj)}")
+    extra = set(obj) - {"id", "files", "children", "depends"}
+    if extra:
+        raise ValueError(f"unknown component fields: {_brief(sorted(extra))}")
+    ci = component_id_from_obj(obj["id"])
+    if ("files" in obj) == ("children" in obj):
+        raise ValueError(f"component {_cut(str(ci))} needs exactly one of 'files'/'children'")
+    deps = frozenset(component_id_from_obj(d) for d in _as_list(obj.get("depends", []), "depends"))
+    if "files" in obj:
+        files = _as_list(obj["files"], "files")
+        if not all(isinstance(f, str) for f in files):
+            raise ValueError(f"component {_cut(str(ci))} files must be strings")
+        return Component.leaf(ci, files, deps)
+    children = frozenset(component_id_from_obj(c) for c in _as_list(obj["children"], "children"))
+    return Component.composite(ci, children, deps)
+
+
+def _as_list(obj: object, what: str) -> list:
+    if not isinstance(obj, list):
+        raise ValueError(f"'{what}' must be a list: {_brief(obj)}")
+    return obj
+
+
+def changeset_to_obj(change: ChangeSet) -> dict:
+    if isinstance(change, ExtendChange):
+        return {
+            "op": "extend",
+            "components": [component_to_obj(c) for c in change.components],
+            "attachments": [[component_id_to_obj(a), component_id_to_obj(b)]
+                            for a, b in change.attachments],
+        }
+    if isinstance(change, UpdateChange):
+        return {
+            "op": "update",
+            "replacements": [[component_id_to_obj(old), component_to_obj(new)]
+                             for old, new in change.replacements],
+        }
+    assert isinstance(change, RemoveChange)
+    return {"op": "remove", "ids": [component_id_to_obj(i) for i in change.ids]}
+
+
+def _pairs(obj: dict, key: str, rule: str, second: Callable[[object], object]) -> tuple:
+    """The `key` list of a changeset object, its [id, x] entries read as (id, `second`(x))."""
+    pairs = []
+    for pair in _as_list(obj.get(key, []), key):
+        pair = _as_list(pair, key[:-1])
+        if len(pair) != 2:
+            raise ValueError(f"{rule}: {_brief(pair)}")
+        pairs.append((component_id_from_obj(pair[0]), second(pair[1])))
+    return tuple(pairs)
+
+
+def changeset_from_obj(obj: object) -> ChangeSet:
+    if not isinstance(obj, dict) or "op" not in obj:
+        raise ValueError(f"a changeset must be an object with an 'op': {_brief(obj)}")
+    op = obj["op"]
+    if op == "extend":
+        components = tuple(component_from_obj(c)
+                           for c in _as_list(obj.get("components", []), "components"))
+        return ExtendChange(components, _pairs(
+            obj, "attachments", "an attachment must be [child, parent]", component_id_from_obj))
+    if op == "update":
+        return UpdateChange(_pairs(
+            obj, "replacements", "a replacement must be [old id, component]", component_from_obj))
+    if op == "remove":
+        return RemoveChange(component_id_from_obj(i) for i in _as_list(obj.get("ids", []), "ids"))
+    raise ValueError(f"unknown op {_brief(op)}")
+
+
+def _load_json(text: str, filename: str, lineno: int = 1) -> object:
+    """`json.loads` with every failure raised as a ParseError; `lineno` is
+    the line of the file on which `text` starts."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(SourceSpan(filename, lineno + exc.lineno - 1, exc.colno),
+                         "valid JSON", exc.msg) from exc
+    except RecursionError as exc:
+        raise ParseError(SourceSpan(filename, lineno, 1),
+                         "valid JSON", "nesting too deep") from exc
+    except ValueError as exc:  # an integer with more digits than the interpreter converts
+        raise ParseError(SourceSpan(filename, lineno, 1),
+                         "valid JSON", "an integer with too many digits") from exc
+
+
+def _changeset_at(obj: object, filename: str, lineno: int) -> ChangeSet:
+    """`changeset_from_obj`, with its ValueError raised as a ParseError on line `lineno`."""
+    try:
+        return changeset_from_obj(obj)
+    except ValueError as exc:
+        raise ParseError(SourceSpan(filename, lineno, 1),
+                         "a well-formed changeset", str(exc)) from exc
+
+
+def parse_changeset(text: str, filename: str = "<changeset>") -> ChangeSet:
+    """Read one JSON changeset; malformed input raises ParseError."""
+    return _changeset_at(_load_json(text, filename), filename, 1)
+
+
+def print_changeset(change: ChangeSet) -> str:
+    return json.dumps(changeset_to_obj(change), indent=2, sort_keys=True) + "\n"
+
+
+def journal_entry_to_line(entry: JournalEntry) -> str:
+    obj = {"seq": entry.seq, "change": changeset_to_obj(entry.change),
+           "inverse": changeset_to_obj(entry.inverse)}
+    if entry.undoes is not None:
+        obj["undoes"] = entry.undoes
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def parse_journal(text: str, filename: str = "<journal>") -> list[JournalEntry]:
+    """Read a journal: one JSON entry per line, blank lines ignored."""
+    entries: list[JournalEntry] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        obj = _load_json(line, filename, lineno)
+        if not isinstance(obj, dict) or not {"seq", "change", "inverse"} <= set(obj):
+            raise ParseError(SourceSpan(filename, lineno, 1),
+                             "an entry with seq/change/inverse", _brief(obj))
+        seq = obj["seq"]
+        if not isinstance(seq, int) or isinstance(seq, bool):
+            raise ParseError(SourceSpan(filename, lineno, 1),
+                             "an integer seq", _brief(seq))
+        undoes = obj.get("undoes")
+        if undoes is not None and (not isinstance(undoes, int) or isinstance(undoes, bool)):
+            raise ParseError(SourceSpan(filename, lineno, 1),
+                             "an integer undoes", _brief(undoes))
+        change = _changeset_at(obj["change"], filename, lineno)
+        inverse = _changeset_at(obj["inverse"], filename, lineno)
+        entries.append(JournalEntry(change=change, inverse=inverse, seq=seq, undoes=undoes))
+    return entries
+
+
+def _open_entries(entries: list[JournalEntry]) -> list[JournalEntry]:
+    """Entries not yet cancelled by a reversal, oldest first."""
+    open_stack: list[JournalEntry] = []
+    for entry in entries:
+        if entry.undoes is not None and open_stack and open_stack[-1].seq == entry.undoes:
+            open_stack.pop()
+        else:
+            open_stack.append(entry)
+    return open_stack

@@ -1,5 +1,4 @@
-"""Text formats: `.csg` spec files, `.cg` configuration files, DOT export,
-and the JSON encoding used for changesets and journals.
+"""Text formats: `.csg` spec files, `.cg` configuration files and DOT export.
 
 Parsing is total: any input yields a value or a ParseError pointing at the
 offending lexeme; structurally broken inputs that *parse* raise SpecInvalid
@@ -17,7 +16,6 @@ error.  An ASCII configuration text is first read by one `findall` of its
 from __future__ import annotations
 
 import functools
-import json
 import re
 from collections.abc import Callable, Sequence
 from itertools import compress
@@ -33,13 +31,6 @@ from .algebra import (
     _set,
     _Value,
     sum_intervals,
-)
-from .lifecycle import (
-    ChangeSet,
-    ExtendChange,
-    JournalEntry,
-    RemoveChange,
-    UpdateChange,
 )
 from .model import (
     ChildSlot,
@@ -64,15 +55,21 @@ __all__ = [
     "SourceSpan",
     "SpecInvalid",
     "kind_of",
-    "parse_changeset",
     "parse_config",
-    "parse_journal",
     "parse_spec",
-    "print_changeset",
     "print_config",
     "print_spec",
     "to_dot",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # perfbench/spans.py still records these two under "textfmt"; drop this when it names lifecycle
+    if name in ("parse_changeset", "parse_journal"):
+        from . import lifecycle
+        return getattr(lifecycle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SPEC_KEYWORDS = frozenset({
     "spec", "node", "root", "name", "origin", "version", "total",
@@ -150,6 +147,11 @@ def _odd_numerics(text: str) -> str:
 def _cut(text: str) -> str:
     """text, cut to at most 60 characters for an error message."""
     return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _brief(value: object) -> str:
+    """repr(value), cut to at most 60 characters for an error message."""
+    return _cut(repr(value))
 
 
 def _unquote(lexeme: str) -> str:
@@ -916,180 +918,3 @@ def to_dot(value: Configuration | SpecSet) -> str:
     if isinstance(value, SpecSet):
         return _spec_to_dot(value)
     raise TypeError(f"cannot render {type(value).__name__} as DOT")
-
-
-# --------------------------------------------------------------------------
-# JSON changesets and journals
-
-def _brief(value: object) -> str:
-    """repr(value), cut to at most 60 characters for an error message."""
-    return _cut(repr(value))
-
-
-def component_id_to_obj(ci: ComponentId) -> list:
-    return [ci.ctype, ci.name, ci.origin, ci.version]
-
-
-def component_id_from_obj(obj: object) -> ComponentId:
-    if (not isinstance(obj, list) or len(obj) != 4
-            or not all(isinstance(x, str) for x in obj[:3])
-            or not isinstance(obj[3], int) or isinstance(obj[3], bool)):
-        raise ValueError(f"a component id must be [type, name, origin, version]: {_brief(obj)}")
-    return ComponentId(obj[0], obj[1], obj[2], obj[3])
-
-
-def component_to_obj(c: Component) -> dict:
-    obj: dict = {"id": component_id_to_obj(c.id)}
-    if c.is_leaf:
-        assert c.elements is not None
-        obj["files"] = sorted(c.elements)
-    else:
-        obj["children"] = [component_id_to_obj(i)
-                           for i in sorted(c.child_ids, key=lambda i: i.sort_key)]
-    if c.dependencies:
-        obj["depends"] = [component_id_to_obj(i)
-                          for i in sorted(c.dependencies, key=lambda i: i.sort_key)]
-    return obj
-
-
-def component_from_obj(obj: object) -> Component:
-    if not isinstance(obj, dict) or "id" not in obj:
-        raise ValueError(f"a component must be an object with an 'id': {_brief(obj)}")
-    known = {"id", "files", "children", "depends"}
-    extra = set(obj) - known
-    if extra:
-        raise ValueError(f"unknown component fields: {_brief(sorted(extra))}")
-    ci = component_id_from_obj(obj["id"])
-    if ("files" in obj) == ("children" in obj):
-        raise ValueError(f"component {_cut(str(ci))} needs exactly one of 'files'/'children'")
-    deps = frozenset(component_id_from_obj(d) for d in _as_list(obj.get("depends", []), "depends"))
-    if "files" in obj:
-        files = _as_list(obj["files"], "files")
-        if not all(isinstance(f, str) for f in files):
-            raise ValueError(f"component {_cut(str(ci))} files must be strings")
-        return Component.leaf(ci, files, deps)
-    children = frozenset(component_id_from_obj(c) for c in _as_list(obj["children"], "children"))
-    return Component.composite(ci, children, deps)
-
-
-def _as_list(obj: object, what: str) -> list:
-    if not isinstance(obj, list):
-        raise ValueError(f"'{what}' must be a list: {_brief(obj)}")
-    return obj
-
-
-def changeset_to_obj(change: ChangeSet) -> dict:
-    if isinstance(change, ExtendChange):
-        return {
-            "op": "extend",
-            "components": [component_to_obj(c) for c in change.components],
-            "attachments": [[component_id_to_obj(a), component_id_to_obj(b)]
-                            for a, b in change.attachments],
-        }
-    if isinstance(change, UpdateChange):
-        return {
-            "op": "update",
-            "replacements": [[component_id_to_obj(old), component_to_obj(new)]
-                             for old, new in change.replacements],
-        }
-    assert isinstance(change, RemoveChange)
-    return {"op": "remove", "ids": [component_id_to_obj(i) for i in change.ids]}
-
-
-def changeset_from_obj(obj: object) -> ChangeSet:
-    if not isinstance(obj, dict) or "op" not in obj:
-        raise ValueError(f"a changeset must be an object with an 'op': {_brief(obj)}")
-    op = obj["op"]
-    if op == "extend":
-        components = tuple(component_from_obj(c)
-                           for c in _as_list(obj.get("components", []), "components"))
-        attachments = []
-        for pair in _as_list(obj.get("attachments", []), "attachments"):
-            pair = _as_list(pair, "attachment")
-            if len(pair) != 2:
-                raise ValueError(f"an attachment must be [child, parent]: {_brief(pair)}")
-            attachments.append((component_id_from_obj(pair[0]),
-                                component_id_from_obj(pair[1])))
-        return ExtendChange(components, tuple(attachments))
-    if op == "update":
-        replacements = []
-        for pair in _as_list(obj.get("replacements", []), "replacements"):
-            pair = _as_list(pair, "replacement")
-            if len(pair) != 2:
-                raise ValueError(f"a replacement must be [old id, component]: {_brief(pair)}")
-            replacements.append((component_id_from_obj(pair[0]),
-                                 component_from_obj(pair[1])))
-        return UpdateChange(tuple(replacements))
-    if op == "remove":
-        ids = tuple(component_id_from_obj(i) for i in _as_list(obj.get("ids", []), "ids"))
-        return RemoveChange(ids)
-    raise ValueError(f"unknown op {_brief(op)}")
-
-
-def _load_json(text: str, filename: str, lineno: int = 1) -> object:
-    """`json.loads` with every failure raised as a ParseError; `lineno` is
-    the line of the file on which `text` starts."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(SourceSpan(filename, lineno + exc.lineno - 1, exc.colno),
-                         "valid JSON", exc.msg) from exc
-    except RecursionError as exc:
-        raise ParseError(SourceSpan(filename, lineno, 1),
-                         "valid JSON", "nesting too deep") from exc
-    except ValueError as exc:  # an integer with more digits than the interpreter converts
-        raise ParseError(SourceSpan(filename, lineno, 1),
-                         "valid JSON", "an integer with too many digits") from exc
-
-
-def parse_changeset(text: str, filename: str = "<changeset>") -> ChangeSet:
-    """Read one JSON changeset; malformed input raises ParseError."""
-    obj = _load_json(text, filename)
-    try:
-        return changeset_from_obj(obj)
-    except ValueError as exc:
-        raise ParseError(SourceSpan(filename, 1, 1),
-                         "a well-formed changeset", str(exc)) from exc
-
-
-def print_changeset(change: ChangeSet) -> str:
-    return json.dumps(changeset_to_obj(change), indent=2, sort_keys=True) + "\n"
-
-
-def journal_entry_to_line(entry: JournalEntry) -> str:
-    obj = {
-        "seq": entry.seq,
-        "change": changeset_to_obj(entry.change),
-        "inverse": changeset_to_obj(entry.inverse),
-    }
-    if entry.undoes is not None:
-        obj["undoes"] = entry.undoes
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def parse_journal(text: str, filename: str = "<journal>") -> list[JournalEntry]:
-    """Read a journal: one JSON entry per line, blank lines ignored."""
-    entries: list[JournalEntry] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        obj = _load_json(line, filename, lineno)
-        if not isinstance(obj, dict) or not {"seq", "change", "inverse"} <= set(obj):
-            raise ParseError(SourceSpan(filename, lineno, 1),
-                             "an entry with seq/change/inverse", _brief(obj))
-        seq = obj["seq"]
-        if not isinstance(seq, int) or isinstance(seq, bool):
-            raise ParseError(SourceSpan(filename, lineno, 1),
-                             "an integer seq", _brief(seq))
-        undoes = obj.get("undoes")
-        if undoes is not None and (not isinstance(undoes, int) or isinstance(undoes, bool)):
-            raise ParseError(SourceSpan(filename, lineno, 1),
-                             "an integer undoes", _brief(undoes))
-        try:
-            change = changeset_from_obj(obj["change"])
-            inverse = changeset_from_obj(obj["inverse"])
-        except ValueError as exc:
-            raise ParseError(SourceSpan(filename, lineno, 1),
-                             "a well-formed changeset", str(exc)) from exc
-        entries.append(JournalEntry(change=change, inverse=inverse, seq=seq, undoes=undoes))
-    return entries

@@ -7,6 +7,7 @@ against an independent transcription rather than against the library itself.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,18 @@ from confkit import (
     SpecSet,
     VersionSet,
 )
+
+# Hypothesis imports this module only to report a failing example.  It may
+# import libcst, whose import emits a DeprecationWarning that
+# `filterwarnings = ["error"]` would raise inside pytest's report hook,
+# ending the session with INTERNALERROR instead of the example.  Importing
+# it once here, with that warning ignored, leaves the setting as it is.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

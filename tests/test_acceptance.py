@@ -47,13 +47,12 @@ from confkit import (
     update,
     validate_spec,
 )
+from confkit.lifecycle import parse_changeset, parse_journal
 from confkit.textfmt import (
     ConfigInvalid,
     ParseError,
     SpecInvalid,
-    parse_changeset,
     parse_config,
-    parse_journal,
     parse_spec,
     print_config,
     print_spec,

@@ -21,8 +21,8 @@ import pytest
 import confkit
 from confkit import cli
 from confkit.cli import main
-from confkit.textfmt import (
-    check_config_text, check_spec_text, parse_config, parse_journal, parse_spec)
+from confkit.lifecycle import parse_journal
+from confkit.textfmt import check_config_text, check_spec_text, parse_config, parse_spec
 
 from conftest import (
     FIXTURES,

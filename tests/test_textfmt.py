@@ -41,17 +41,16 @@ from confkit import (
     to_dot,
     validate_spec,
 )
-from confkit.textfmt import (
+from confkit.lifecycle import (
     changeset_from_obj,
     changeset_to_obj,
-    check_config_text,
-    check_spec_text,
     component_from_obj,
     component_id_from_obj,
     component_id_to_obj,
     component_to_obj,
     journal_entry_to_line,
 )
+from confkit.textfmt import check_config_text, check_spec_text
 
 from conftest import (
     DEF_PSC,
@@ -714,10 +713,74 @@ class TestChangesetJson:
         {"id": ["T", "n", "o", 1], "children": [["U", "c", "o", 1]],
          "depends": [["U", "c", "o", 1]]},
         [],
+        {"files": []},
+        5,
     ])
     def test_component_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             component_from_obj(bad)
+
+    def test_parse_changeset_rejects_a_component_without_an_id(self):
+        with pytest.raises(ParseError):
+            parse_changeset('{"op": "extend", "components": [{"files": []}]}')
+
+    def test_update_orders_replacements_by_old_id(self):
+        """Two replacements whose order by old id (a, b) is not their order
+        by new id (y, z): the change, its printed form and its journal line
+        all follow the old ids."""
+        a, b, y, z = (ComponentId("L", n, "o", 1) for n in "abyz")
+        change = UpdateChange(((b, Component.leaf(y)), (a, Component.leaf(z))))
+        assert change.replacements == ((a, Component.leaf(z)), (b, Component.leaf(y)))
+        assert print_changeset(change) == """\
+{
+  "op": "update",
+  "replacements": [
+    [
+      [
+        "L",
+        "a",
+        "o",
+        1
+      ],
+      {
+        "files": [],
+        "id": [
+          "L",
+          "z",
+          "o",
+          1
+        ]
+      }
+    ],
+    [
+      [
+        "L",
+        "b",
+        "o",
+        1
+      ],
+      {
+        "files": [],
+        "id": [
+          "L",
+          "y",
+          "o",
+          1
+        ]
+      }
+    ]
+  ]
+}
+"""
+        inverse = UpdateChange(((z, Component.leaf(a)), (y, Component.leaf(b))))
+        assert journal_entry_to_line(JournalEntry(change, inverse, seq=2)) == (
+            '{"change":{"op":"update","replacements":['
+            '[["L","a","o",1],{"files":[],"id":["L","z","o",1]}],'
+            '[["L","b","o",1],{"files":[],"id":["L","y","o",1]}]]},'
+            '"inverse":{"op":"update","replacements":['
+            '[["L","y","o",1],{"files":[],"id":["L","b","o",1]}],'
+            '[["L","z","o",1],{"files":[],"id":["L","a","o",1]}]]},'
+            '"seq":2}')
 
     def test_changeset_codecs_round_trip(self):
         for change in (

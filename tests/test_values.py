@@ -8,10 +8,12 @@ defaults.  No test here depends on how the classes are implemented.
 
 from __future__ import annotations
 
+import ast
 import copy
 import importlib
 import inspect
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +211,31 @@ def test_each_public_name_is_declared_once_in_its_defining_module():
         names += module.__all__
     assert len(names) == len(set(names))
     assert set(confkit.__all__) == set(names)
+
+
+def test_textfmt_depends_only_on_algebra_and_model():
+    """`textfmt` imports no `json` and, from the package, only `.algebra` and
+    `.model` when it loads.  Its one other import is the lazy lookup in its
+    module `__getattr__`, which answers only the two names below."""
+    import confkit.lifecycle
+    import confkit.textfmt
+
+    tree = ast.parse(Path(confkit.textfmt.__file__).read_text(encoding="utf-8"))
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    absolute = {a.name for n in imports if isinstance(n, ast.Import) for a in n.names}
+    absolute |= {n.module for n in imports if isinstance(n, ast.ImportFrom) and not n.level}
+    assert not {m for m in absolute if m.split(".")[0] == "json"}
+    loaded = [n for n in tree.body if isinstance(n, ast.ImportFrom) and n.level]
+    assert sorted(n.module for n in loaded) == ["algebra", "model"]
+    [hook] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "__getattr__"]
+    assert [n for n in imports if n not in tree.body] == [
+        n for n in ast.walk(hook) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+    for name in ("parse_changeset", "parse_journal"):
+        assert getattr(confkit.textfmt, name) is getattr(confkit.lifecycle, name)
+    for name in ("print_changeset", "journal_entry_to_line", "no_such_name"):
+        with pytest.raises(AttributeError):
+            getattr(confkit.textfmt, name)
 
 
 def test_keyword_options():
