@@ -51,7 +51,8 @@ class _Value:
 
     A subclass names its fields in `__slots__` and sets each once in
     `__init__`; slots named with a leading underscore hold caches and stay
-    out of equality, hashing, repr and `replace`.  A subclass of a value
+    out of equality, hashing, repr and `replace`; a class whose fields derive
+    from such slots names them in its own `_fields`.  A subclass of a value
     class has the fields of its parents first, then its own.  Values of one
     class are equal when their field tuples are, and hash as that tuple.
     """
@@ -60,9 +61,9 @@ class _Value:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = fields = tuple(f for c in reversed(cls.__mro__)
-                                     for f in c.__dict__.get("__slots__", ())
-                                     if not f.startswith("_"))
+        cls._fields = fields = cls.__dict__.get("_fields") or tuple(
+            f for c in reversed(cls.__mro__) for f in c.__dict__.get("__slots__", ())
+            if not f.startswith("_"))
         get = attrgetter(*fields)
         cls._astuple = staticmethod(get if len(fields) > 1 else lambda value: (get(value),))
 
@@ -421,7 +422,8 @@ def merge_identifiers(acis: Iterable[AbstractComponentId]) -> AbstractComponentI
 def lift_identifiers(ids: Iterable[ComponentId]) -> AbstractComponentId:
     """The smallest family holding a non-empty iterable of same-ctype ids:
     `merge_identifiers` over their singleton families, built without a
-    family per id."""
+    family per id, and without the constructors' checks: each id proved
+    them, and plain names need no prefix normalising."""
     items = list(ids)
     if not items:
         raise ValueError("lift_identifiers needs at least one identifier")
@@ -429,9 +431,16 @@ def lift_identifiers(ids: Iterable[ComponentId]) -> AbstractComponentId:
     for ci in items:
         if ci.ctype != ctype:
             raise TypeMismatch(f"cannot merge {ctype} with {ci.ctype}")
-    return AbstractComponentId(
-        ctype=ctype,
-        names=NameSet(frozenset([ci.name for ci in items])),
-        origins=OriginSet(frozenset([ci.origin for ci in items])),
-        versions=VersionSet(values=frozenset([ci.version for ci in items])),
-    )
+    family, names, origins, versions = map(object.__new__, (AbstractComponentId, NameSet, OriginSet, VersionSet))
+    _set(names, "literals", frozenset([ci.name for ci in items]))
+    _set(names, "prefixes", frozenset())
+    _set(names, "is_any", False)
+    _set(origins, "values", frozenset([ci.origin for ci in items]))
+    _set(origins, "is_any", False)
+    _set(versions, "values", frozenset([ci.version for ci in items]))
+    _set(versions, "span", None)
+    _set(family, "ctype", ctype)
+    _set(family, "names", names)
+    _set(family, "origins", origins)
+    _set(family, "versions", versions)
+    return family

@@ -159,16 +159,18 @@ def cmd_compat(args: argparse.Namespace, fmt: str) -> int:
     return 0 if verdict.compatible else 1
 
 
-def _journal_path(args: argparse.Namespace) -> str:
-    return args.journal if args.journal else args.config + ".journal"
+def _journal(args: argparse.Namespace) -> tuple[str, list[JournalEntry]]:
+    """The journal's path and entries; a journal not yet written has none."""
+    path = args.journal if args.journal else args.config + ".journal"
+    return path, parse_journal(_read(path), path) if os.path.exists(path) else []
 
 
 def cmd_apply(args: argparse.Namespace, fmt: str) -> int:
     config = parse_config(_read(args.config), args.config)
     spec = parse_spec(_read(args.spec), args.spec)
     change = parse_changeset(_read(args.changeset), args.changeset)
-    journal_path = _journal_path(args)
-    seq = len(parse_journal(_read(journal_path), journal_path)) if os.path.exists(journal_path) else 0
+    journal_path, entries = _journal(args)
+    seq = len(entries)
     result, entry = apply(config, change, spec, seq=seq)
     text = print_config(result)
     payload = {
@@ -187,8 +189,7 @@ def cmd_apply(args: argparse.Namespace, fmt: str) -> int:
 
 def cmd_undo(args: argparse.Namespace, fmt: str) -> int:
     config = parse_config(_read(args.config), args.config)
-    journal_path = _journal_path(args)
-    entries = parse_journal(_read(journal_path), journal_path)
+    journal_path, entries = _journal(args)
     open_stack = _open_entries(entries)
     if not open_stack:
         raise JournalMismatch(f"journal {journal_path} has nothing left to undo")

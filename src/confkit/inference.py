@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable
 
-from .algebra import AbstractComponentId, ComponentId, Interval, lift_identifiers
+from .algebra import AbstractComponentId, ComponentId, Interval, _set, lift_identifiers
 from .model import (
     ChildSlot,
     ComponentSpec,
@@ -66,16 +66,12 @@ def unify_children(
 
 def unify(a: SpecSet, b: SpecSet) -> SpecSet:
     """Merge two spec sets; nodes present on one side only pass through."""
-    left = {cs.ctype: cs for cs in a}
-    right = {cs.ctype: cs for cs in b}
+    left, right = a._nodes, b._nodes
     out: list[ComponentSpec] = []
     for ctype in sorted(left.keys() | right.keys()):
         ls, rs = left.get(ctype), right.get(ctype)
-        if ls is None:
-            assert rs is not None
-            out.append(rs)
-        elif rs is None:
-            out.append(ls)
+        if ls is None or rs is None:
+            out.append(rs if ls is None else ls)
         else:
             out.append(ComponentSpec(
                 aci=ls.aci.merge(rs.aci),
@@ -83,7 +79,15 @@ def unify(a: SpecSet, b: SpecSet) -> SpecSet:
                 children=unify_children(ls.children, rs.children),
                 total=ls.total + rs.total,
             ))
-    return SpecSet(frozenset(out))
+    return SpecSet(out)
+
+
+def _count(lo: int, hi: int) -> Interval:
+    """[lo, hi] from naturals counted here, lo <= hi: set without `Interval`'s checks."""
+    count = object.__new__(Interval)
+    _set(count, "lo", lo)
+    _set(count, "hi", hi)
+    return count
 
 
 def _group_spec(members: list[Component], families: dict[str, tuple[int, AbstractComponentId]],
@@ -128,12 +132,12 @@ def _group_spec(members: list[Component], families: dict[str, tuple[int, Abstrac
     slots = frozenset(
         ChildSlot(
             lift_identifiers(gathered[ctype]) if ctype in gathered else families[ctype][1],
-            Interval(min(ks) if len(ks) == len(members) else 0, max(ks)),
+            _count(min(ks) if len(ks) == len(members) else 0, max(ks)),
         )
         for ctype, ks in counts.items()
     )
     return ComponentSpec(
-        aci=families[own][1], dependencies=deps, children=slots, total=Interval(total, total))
+        aci=families[own][1], dependencies=deps, children=slots, total=_count(total, total))
 
 
 def infer_component(component: Component, *, faithful_leaf_rule: bool = False) -> SpecSet:
@@ -143,7 +147,7 @@ def infer_component(component: Component, *, faithful_leaf_rule: bool = False) -
     [1,1], counting the leaf as occupying one slot of its own.
     """
     family = (1, lift_identifiers([component.id]))
-    return SpecSet(frozenset({_group_spec([component], {component.id.ctype: family}, faithful_leaf_rule)}))
+    return SpecSet([_group_spec([component], {component.id.ctype: family}, faithful_leaf_rule)])
 
 
 def infer(config: Configuration | Iterable[Component], *,
@@ -155,5 +159,5 @@ def infer(config: Configuration | Iterable[Component], *,
         groups.setdefault(component.id.ctype, []).append(component)
     families = {ctype: (len(members), lift_identifiers([c.id for c in members]))
                 for ctype, members in groups.items()}
-    return SpecSet(frozenset(_group_spec(members, families, faithful_leaf_rule)
-                             for members in groups.values()))
+    return SpecSet(_group_spec(members, families, faithful_leaf_rule)
+                   for members in groups.values())

@@ -242,27 +242,33 @@ class SpecSet(_Value):
     conditions a full configuration spec must meet (see validate_spec).
     """
 
+    # _nodes: the nodes by ctype in the order given, the value's one store, which specs derives from
     # _report and _root (the root node, or None): kept by validate_spec, valid or not
-    # _nodes: the nodes by ctype, built with the value
-    __slots__ = ("specs", "_report", "_root", "_nodes")
+    __slots__ = ("_nodes", "_report", "_root")
+    _fields = ("specs",)
 
     def __init__(self, specs: Iterable[ComponentSpec] = frozenset()) -> None:
-        specs = frozenset(specs)
         nodes: dict[str, ComponentSpec] = {}
         for cs in specs:
-            if cs.ctype in nodes:
+            kept = nodes.setdefault(cs.ctype, cs)
+            if kept is not cs and kept != cs:  # an equal node collapses, as in a set
                 raise ValueError(f"more than one spec node of ctype {cs.ctype}")
-            nodes[cs.ctype] = cs
-        _set(self, "specs", specs)
+        _set(self, "_nodes", nodes)
         _set(self, "_report", None)
         _set(self, "_root", None)
-        _set(self, "_nodes", nodes)
+
+    specs = property(lambda self: frozenset(self._nodes.values()))
+
+    def __eq__(self, other: object) -> bool:
+        return self._nodes == other._nodes if other.__class__ is self.__class__ else NotImplemented
+
+    __hash__ = _Value.__hash__
 
     def __iter__(self) -> Iterator[ComponentSpec]:
-        return iter(self.specs)
+        return iter(self._nodes.values())
 
     def __len__(self) -> int:
-        return len(self.specs)
+        return len(self._nodes)
 
     def spec_for(self, ctype: str) -> ComponentSpec | None:
         return self._nodes.get(ctype)
@@ -272,7 +278,7 @@ class SpecSet(_Value):
         return frozenset(self._nodes)
 
     def sorted_specs(self) -> list[ComponentSpec]:
-        return sorted(self.specs, key=lambda cs: cs.ctype)
+        return sorted(self._nodes.values(), key=lambda cs: cs.ctype)
 
 
 def validate_configuration(config: Configuration | Iterable[Component]) -> ValidationReport:

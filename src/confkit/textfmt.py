@@ -483,7 +483,7 @@ def check_spec_text(text: str, filename: str = "<spec>") -> tuple[SpecSet | None
     # A SpecSet keeps its report, so compliant does not validate a parsed
     # spec again; nodes sharing a ctype cannot form one and stay a list.
     ctypes = {n.ctype for n in nodes}
-    checked = SpecSet(frozenset(nodes)) if len(ctypes) == len(nodes) else nodes
+    checked = SpecSet(nodes) if len(ctypes) == len(nodes) else nodes
     violations = list(validate_spec(checked).violations)
     if declared not in ctypes:
         violations.append(Violation(

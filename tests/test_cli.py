@@ -641,10 +641,15 @@ class TestApplyUndo:
         assert app.read_bytes() == before
         assert journal.read_bytes() == journal_before
 
-    def test_undo_without_a_journal_exits_2(self, ws, capsys):
-        code, _, err = run(capsys, "undo", str(ws / "psy1.cg"))
-        assert code == 2
-        assert err.startswith("error:")
+    def test_undo_without_a_journal_has_nothing_to_undo(self, ws, capsys):
+        # a journal not yet written is an empty one, as `apply` reads it
+        config = ws / "psy1.cg"
+        before = config.read_bytes()
+        code, out, err = run(capsys, "undo", str(config))
+        assert (code, out) == (1, "")
+        assert err == f"rejected: journal {config}.journal has nothing left to undo\n"
+        assert config.read_bytes() == before
+        assert not (ws / "psy1.cg.journal").exists()
 
 
 # --------------------------------------------------------------------------

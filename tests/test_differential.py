@@ -12,7 +12,8 @@ keeps its id index and root on the value for `root_of`, `by_id` and
 and `ctype_order`, which neither sorts nor pushes a child with no children
 of a ctype already seen, against the DFS that sorts every child set.
 Last, every component either configuration reader builds column by column
-is rebuilt through the checking constructors and must be the same value.
+is rebuilt through the checking constructors and must be the same value,
+as must every family `lift_identifiers` builds by setting its slots.
 Both compliance engines, each of which checks a ctype in one function that
 returns its first failing clause, are checked against `direct_check` as it
 was before, a loop that carried a flag out of each clause.
@@ -410,12 +411,14 @@ def test_grouped_infer_equals_the_unify_fold(faithful_leaf_rule):
     for _ in range(400):
         config = random_config(rng)
         inferred = infer(config, faithful_leaf_rule=faithful_leaf_rule)
-        assert inferred == reference_infer(config, faithful_leaf_rule)
+        reference = reference_infer(config, faithful_leaf_rule)
+        assert inferred == reference and hash(inferred) == hash(reference)
         for kind in slot_kinds(config, inferred).values():
             slots[kind] += 1
         for c in config:
-            assert infer_component(c, faithful_leaf_rule=faithful_leaf_rule) == (
-                reference_infer_component(c, faithful_leaf_rule))
+            one, reference = (infer_component(c, faithful_leaf_rule=faithful_leaf_rule),
+                              reference_infer_component(c, faithful_leaf_rule))
+            assert one == reference and hash(one) == hash(reference)
         kinds: dict[str, set] = {}
         for c in config:
             kinds.setdefault(c.id.ctype, set()).add(
@@ -569,6 +572,25 @@ def test_lift_equals_merging_singleton_families():
         lift_identifiers([ComponentId("T", "a", "o", 1), ComponentId("U", "a", "o", 1)])
     with pytest.raises(ValueError):
         lift_identifiers([])
+
+
+same_ctype_ids = st.sampled_from(CTYPES).flatmap(lambda ctype: st.lists(st.builds(
+    ComponentId, st.just(ctype), st.sampled_from(("a", "ab", "abc", "b", "ba")),
+    st.sampled_from(ORIGINS), st.integers(min_value=0, max_value=6)), min_size=1, max_size=8))
+
+
+@seed(20117)
+@settings(max_examples=300, deadline=None, database=None)
+@given(same_ctype_ids)
+def test_lifted_family_is_the_one_the_checking_constructors_build(ids):
+    # lift_identifiers sets the slots itself; names where one is a prefix of
+    # another must stay literals, as NameSet keeps them
+    built = AbstractComponentId(ids[0].ctype, NameSet(frozenset(ci.name for ci in ids)),
+                                OriginSet(frozenset(ci.origin for ci in ids)),
+                                VersionSet(values=frozenset(ci.version for ci in ids)))
+    lifted = lift_identifiers(ids)
+    assert lifted == built and hash(lifted) == hash(built) and repr(lifted) == repr(built)
+    assert same_representation(lifted, built)
 
 
 @pytest.mark.parametrize("relaxed", [True, False])

@@ -350,6 +350,37 @@ def test_construction_normalises_and_validates():
         AbstractComponentId("")
 
 
+PARENT = ComponentSpec(AbstractComponentId("R"), children=frozenset({ChildSlot(ACI, Interval(1, 1))}),
+                       total=Interval(1, 1))
+NODE_FORMS = {"list": list, "tuple": tuple, "generator": lambda nodes: (n for n in nodes),
+              "frozenset": frozenset}
+
+
+@pytest.mark.parametrize("form", sorted(NODE_FORMS))
+def test_spec_set_from_any_iterable_of_nodes(form):
+    forwards, backwards = [PARENT, ComponentSpec(ACI)], [ComponentSpec(ACI), PARENT]
+    one, other = SpecSet(NODE_FORMS[form](forwards)), SpecSet(NODE_FORMS[form](backwards))
+    assert one == other == build(SpecSet).replace(specs=forwards)
+    assert hash(one) == hash(other) == hash((frozenset(forwards),))
+    assert one.specs == other.specs == frozenset(forwards) and len(one) == 2
+    if form != "frozenset":  # iteration follows construction order
+        assert list(one) == forwards and list(other) == backwards
+    for value in (one, other):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol)) == value
+        assert copy.copy(value) == copy.deepcopy(value) == value.replace(specs=value.specs) == value
+
+
+def test_spec_set_collapses_an_equal_node_and_refuses_two_of_one_ctype():
+    first, twin = ComponentSpec(ACI), ComponentSpec(ACI.replace())
+    assert first == twin and first is not twin
+    collapsed = SpecSet([first, PARENT, twin])
+    assert list(collapsed) == [first, PARENT] and list(collapsed)[0] is first
+    assert collapsed == SpecSet([PARENT, first]) and hash(collapsed) == hash(SpecSet([PARENT, first]))
+    with pytest.raises(ValueError, match="more than one spec node of ctype T"):
+        SpecSet([first, PARENT, first.replace(total=Interval(0, 1))])
+
+
 def test_a_subclass_has_its_parents_fields_first():
     class Tagged(ComponentId):
         __slots__ = ("tag",)
