@@ -76,7 +76,7 @@ def unify(a: SpecSet, b: SpecSet) -> SpecSet:
             out.append(ComponentSpec(
                 aci=ls.aci.merge(rs.aci),
                 dependencies=unify_dependencies(ls.dependencies, rs.dependencies),
-                children=unify_children(ls.children, rs.children),
+                children=unify_children(ls._slots.values(), rs._slots.values()),
                 total=ls.total + rs.total,
             ))
     return SpecSet(out)
@@ -129,7 +129,7 @@ def _group_spec(members: list[Component], families: dict[str, tuple[int, Abstrac
         for child in chain.from_iterable(filter(None, map(_children_of, members))):
             if child.ctype in gathered:
                 gathered[child.ctype].append(child)
-    slots = frozenset(
+    slots = (
         ChildSlot(
             lift_identifiers(gathered[ctype]) if ctype in gathered else families[ctype][1],
             _count(min(ks) if len(ks) == len(members) else 0, max(ks)),

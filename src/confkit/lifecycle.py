@@ -11,6 +11,7 @@ holds one JSON object; a journal holds one JSON entry per line.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from .algebra import ComponentId, _set, _Value
@@ -201,19 +202,21 @@ def _apply_raw(config: Configuration, change: ChangeSet) -> tuple[Configuration,
         return Configuration(rewritten + change.components), inverse
 
     if isinstance(change, UpdateChange):
-        id_map: dict[ComponentId, ComponentId] = {}
+        replacement_of = dict(change.replacements)
         for old, new in change.replacements:
             if old not in by_id:
                 raise UnknownComponent(f"{old} is not in the configuration")
             if old.ctype != new.id.ctype:
                 raise TypeChanged(f"{old} cannot become ctype {new.id.ctype}")
-            id_map[old] = new.id
         for _, new in change.replacements:
-            if new.id in by_id and new.id not in id_map:
+            if new.id in by_id and new.id not in replacement_of:
                 raise DuplicateComponentId(f"{new.id} is already in the configuration")
-        replacement_of = dict(change.replacements)
+        id_map = {old: new.id for old, new in change.replacements if new.id != old}  # the renamed ids
         pieces = []
         for c in config:
+            if c.id not in replacement_of and id_map.keys().isdisjoint(chain(c.dependencies, c.child_ids)):
+                pieces.append(c)
+                continue
             target = replacement_of.get(c.id, c)
             deps = frozenset(id_map.get(d, d) for d in target.dependencies)
             if target.is_leaf:

@@ -105,6 +105,7 @@ _EMPTY: frozenset = frozenset()
 
 _sort_key = ComponentId.sort_key.fget
 _id_of, _children_of, _dependencies_of = attrgetter("id"), attrgetter("children"), attrgetter("dependencies")
+_slot_ctype = attrgetter("aci.ctype")
 
 
 def _frozen(items: Iterable) -> frozenset:
@@ -208,24 +209,25 @@ class ChildSlot(_Value):
 class ComponentSpec(_Value):
     """Spec node for one ctype: identity constraints, dependencies, children, total."""
 
-    # _slots: the child slots by ctype, built with the value: it is immutable
-    __slots__ = ("aci", "dependencies", "children", "total", "_slots")
+    # _slots: the child slots by ctype in ctype order, the value's one store, which children derives from
+    __slots__ = ("aci", "dependencies", "total", "_slots")
+    _fields = ("aci", "dependencies", "children", "total")
 
     def __init__(self, aci: AbstractComponentId,
                  dependencies: Iterable[AbstractComponentId] = frozenset(),
                  children: Iterable[ChildSlot] = frozenset(),
                  total: Interval = Interval(0, 0)) -> None:
-        children = frozenset(children)
         slots: dict[str, ChildSlot] = {}
-        for slot in children:
-            if slot.aci.ctype in slots:
+        for slot in sorted(children, key=_slot_ctype):
+            kept = slots.setdefault(slot.aci.ctype, slot)
+            if kept is not slot and kept != slot:  # an equal slot collapses, as in a set
                 raise ValueError(f"{aci.ctype}: more than one child slot of ctype {slot.aci.ctype}")
-            slots[slot.aci.ctype] = slot
         _set(self, "aci", aci)
         _set(self, "dependencies", frozenset(dependencies))
-        _set(self, "children", children)
         _set(self, "total", total)
         _set(self, "_slots", slots)
+
+    children = property(lambda self: frozenset(self._slots.values()))
 
     @property
     def ctype(self) -> str:
@@ -396,7 +398,7 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
     acis = {cs.aci for cs in nodes}
 
     for cs in sorted(nodes, key=lambda cs: cs.ctype):
-        for slot in sorted(cs.children, key=lambda s: s.aci.ctype):
+        for slot in cs._slots.values():
             if slot.aci not in acis:
                 violations.append(Violation(
                     "children-closure", (cs.ctype, slot.aci.ctype),
@@ -421,9 +423,9 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
 
     referenced: dict[str, list[str]] = {}
     for cs in nodes:
-        for slot in cs.children:
-            if slot.aci.ctype in families:
-                referenced.setdefault(slot.aci.ctype, []).append(cs.ctype)
+        for t in cs._slots:
+            if t in families:
+                referenced.setdefault(t, []).append(cs.ctype)
 
     root_types = sorted(t for t in families if t not in referenced)
     if not nodes:
@@ -444,13 +446,13 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
                 f"{child_type} is a child slot of more than one spec node"))
 
     for cs in sorted(nodes, key=lambda cs: cs.ctype):
-        child_sum = sum_intervals(slot.count for slot in cs.children)
+        child_sum = sum_intervals(slot.count for slot in cs._slots.values())
         if not child_sum.included_in(cs.total):
             violations.append(Violation(
                 "interval-sum", (cs.ctype,),
                 f"{cs.ctype}: children counts sum to {child_sum}, "
                 f"not included in total {cs.total}"))
-        if cs.children and not cs.total.included_in(child_sum):
+        if cs._slots and not cs.total.included_in(child_sum):
             violations.append(Violation(
                 "child-sum-advisory", (cs.ctype,),
                 f"{cs.ctype}: total {cs.total} is not bracketed by "

@@ -454,7 +454,7 @@ def _build_spec_nodes(raw: list[_RawNode]) -> list[ComponentSpec]:
         if total is None:
             total = sum_intervals(node.contains.values())
         built.append(ComponentSpec(
-            aci=aci, dependencies=frozenset(deps), children=frozenset(slots), total=total))
+            aci=aci, dependencies=frozenset(deps), children=slots, total=total))
     return built
 
 
@@ -490,7 +490,7 @@ def check_spec_text(text: str, filename: str = "<spec>") -> tuple[SpecSet | None
             "declared-root", (declared,),
             f"declared root {declared} has no node"))
     else:
-        child_types = {slot.aci.ctype for n in nodes for slot in n.children}
+        child_types = {t for n in nodes for t in n._slots}
         unrooted = sorted(ctypes - child_types)
         if len(unrooted) == 1 and unrooted[0] != declared:
             violations.append(Violation(
@@ -805,9 +805,8 @@ def print_spec(spec: SpecSet, *, name: str | None = None,
         if not node.aci.versions.is_any:
             lines.append(f"    version: {_fmt_verset(node.aci.versions)};")
         lines.append(f"    total: {node.total};")
-        if node.children:
-            slots = sorted(node.children, key=lambda s: s.aci.ctype)
-            inner = ", ".join(f"{_ctype(s.aci.ctype)}: {s.count}" for s in slots)
+        if node._slots:
+            inner = ", ".join(f"{_ctype(t)}: {s.count}" for t, s in node._slots.items())
             lines.append(f"    contains {{ {inner} }}")
         if node.dependencies:
             rendered = []
@@ -899,7 +898,7 @@ def _spec_to_dot(spec: SpecSet) -> str:
         label = "\\n".join(_dot_escape(line) for line in label_lines)
         lines.append(f'  {ids[node.ctype]} [label="{label}"];')
     for node in nodes:
-        for slot in sorted(node.children, key=lambda s: s.aci.ctype):
+        for slot in node._slots.values():
             target = ids.get(slot.aci.ctype) or _dot_id(_sanitize(slot.aci.ctype))
             lines.append(f'  {ids[node.ctype]} -> {target} [label="{slot.count}"];')
     for node in nodes:

@@ -123,7 +123,7 @@ def _first_failure(
             t, "dependencies",
             f"{t} dependencies on {min(unmatched)} match no dependency entry")
 
-    for slot in sorted(inferred.children, key=lambda s: s.aci.ctype):
+    for slot in inferred._slots.values():
         match = node.slot_for(slot.aci.ctype)
         if match is None:
             return ComplianceFailure(
@@ -143,9 +143,8 @@ def _first_failure(
             t, "total", f"{t} contains {inferred.total} children, allowed {node.total}")
 
     if strict_lower_bounds:
-        present = {slot.aci.ctype for slot in inferred.children}
-        for slot in sorted(node.children, key=lambda s: s.aci.ctype):
-            if slot.count.lo >= 1 and slot.aci.ctype not in present:
+        for slot in node._slots.values():
+            if slot.count.lo >= 1 and slot.aci.ctype not in inferred._slots:
                 return ComplianceFailure(
                     t, "missing-required-child",
                     f"{t} never contains {slot.aci.ctype}, required at least {slot.count.lo}")
@@ -251,7 +250,7 @@ def _direct_failure(
             f"{ctype} contains {Interval(total, total)} children, allowed {node.total}")
 
     if strict_lower_bounds:
-        for slot in sorted(node.children, key=lambda s: s.aci.ctype):
+        for slot in node._slots.values():
             if slot.count.lo >= 1 and slot.aci.ctype not in counts:
                 return ComplianceFailure(
                     ctype, "missing-required-child",
@@ -308,12 +307,9 @@ def _stand_in_reasons(a: Configuration, b: Configuration, relaxed: bool) -> list
     (ctype, origin, name), and per (ctype, origin) for the composites
     relaxed matching renames, is looked up instead of scanning b for each
     component of a; the relation is `ci_compat_leq`'s."""
-    by_name: dict[tuple, int] = {}
-    by_origin: dict[tuple, int] = {}
-    for cb in b:
-        i = cb.id
-        for index, key in ((by_name, (i.ctype, i.origin, i.name)), (by_origin, (i.ctype, i.origin))):
-            index[key] = max(index.get(key, i.version), i.version)
+    ids = sorted((cb.id for cb in b), key=lambda i: i.version)  # a newer version overwrites an older one
+    by_name = {(i.ctype, i.origin, i.name): i.version for i in ids}
+    by_origin = {(i.ctype, i.origin): i.version for i in ids}
     failing: list[tuple] = []  # (component of a, cause)
     for ca in a:
         i = ca.id

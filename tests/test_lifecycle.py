@@ -115,6 +115,23 @@ class TestApply:
         apply(final, entry.inverse, cs_psycho, seq=2)
         assert calls == ["update", "extend", "remove"]
 
+    @pytest.mark.parametrize("version", [1, 2], ids=["same-id", "renamed"])
+    def test_update_keeps_the_components_it_does_not_touch(self, psy1, cs_psycho, version):
+        # only the replaced leaf and, when its id changes, the components
+        # that contain it or depend on it are built again
+        new = Component.leaf(GLIB1.replace(version=version), ["glib.so"])
+        stepped, _ = update(psy1, UpdateChange.of({GLIB1: new}), cs_psycho)
+        before = psy1.by_id()
+        pointing = {c.id for c in psy1 if version != 1 and GLIB1 in c.child_ids | c.dependencies}
+        assert (BIN1 in pointing) == (version != 1) and len(stepped) == len(psy1)
+        for c in stepped:
+            if c.id == new.id:
+                assert c == new
+            elif c.id in pointing:
+                assert new.id in c.child_ids | c.dependencies
+            else:
+                assert c is before[c.id]
+
 
 # --------------------------------------------------------------------------
 # Gates

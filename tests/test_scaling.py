@@ -35,6 +35,11 @@ guard counts the ids it passes to `sorted`: each composite is sorted once
 among its parent's children, and leaves only under the first bin, before
 their ctype has been seen (sorting every child set gives 199).
 
+A spec node holds its child slots once, by ctype, so `compliant` hashes
+no `ChildSlot`: the slot guard makes hashing one raise while `compliant`
+checks a seeded configuration of the benchmark's `scale` shape (hashing
+each slot down to its version set cost about a tenth of `compliant`).
+
 Two guards count calls into one function at 4n.  `infer` lifts each ctype's
 identifier family once, and a child slot that holds every component of its
 ctype shares that family: `lift_identifiers` runs once per ctype plus once
@@ -46,6 +51,7 @@ when two or more ctypes fail (it used to walk it on every call).
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
@@ -58,6 +64,7 @@ from confkit import (
     ComponentSpec,
     Configuration,
     Interval,
+    SpecSet,
     compliant,
     config_leq,
     direct_check,
@@ -288,6 +295,44 @@ def calls_into(module, name: str, fn, *args) -> int:
     finally:
         setattr(module, name, original)
     return count
+
+
+def scale_shaped(seed: int, bins: int, leaf_ctypes: int = 8, p: float = 0.3) -> tuple[Configuration, SpecSet]:
+    """A fresh root -> bins -> leaves configuration drawn as the benchmark's
+    `scale` workload draws one: 7-11 leaves a bin, of `leaf_ctypes` ctypes,
+    each depending on a shared `Lib` with probability p; and its spec."""
+    r = random.Random(seed)
+    lib = ComponentId("Lib", "lib", "o", r.randint(1, 3))
+    comps, bin_ids = [Component.leaf(lib)], []
+    for b in range(bins):
+        leaves = [ComponentId(f"L{r.randrange(leaf_ctypes)}", f"l{b}_{j}", "o", r.randint(1, 3))
+                  for j in range(r.randint(7, 11))]
+        comps += [Component.leaf(leaf, dependencies=[lib] if r.random() < p else []) for leaf in leaves]
+        bin_ids.append(ComponentId("Bin", f"bin{b}", "o", r.randint(1, 3)))
+        comps.append(Component.composite(bin_ids[-1], leaves))
+    comps.append(Component.composite(ComponentId("Root", "root", "o", 1), bin_ids + [lib]))
+    kinds = [f"L{t}" for t in range(leaf_ctypes)]
+    spec = parse_spec("spec scale {\n"
+                      "  node Root { total: 1..*; contains { Bin: 1..*, Lib: 1..1 } }\n"
+                      f"  node Bin {{ total: 0..*; contains {{ {', '.join(f'{k}: 0..*' for k in kinds)} }} }}\n"
+                      + "".join(f"  node {k} {{ total: 0..0; depends {{ Lib }} }}\n" for k in kinds)
+                      + "  node Lib { total: 0..0; }\n  root Root;\n}\n")
+    return Configuration(tuple(comps)), spec
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_compliant_hashes_no_child_slot(monkeypatch, strict):
+    # A spec node keeps its child slots once, by ctype: building the inferred
+    # nodes and refining them reads that store and hashes no slot.
+    config, spec = scale_shaped(seed=7, bins=50)
+    expected = direct_check(config, spec, strict_lower_bounds=strict)
+    assert expected.compliant and len(config) > 400
+
+    def refuse(slot):
+        raise AssertionError(f"hashed {slot!r}")
+
+    monkeypatch.setattr(ChildSlot, "__hash__", refuse)
+    assert compliant(config, spec, strict_lower_bounds=strict) == expected
 
 
 def test_infer_lifts_each_family_once():

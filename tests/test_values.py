@@ -381,6 +381,37 @@ def test_spec_set_collapses_an_equal_node_and_refuses_two_of_one_ctype():
         SpecSet([first, PARENT, first.replace(total=Interval(0, 1))])
 
 
+SLOTS = [ChildSlot(AbstractComponentId("U"), Interval(0, INF)), ChildSlot(ACI, Interval(1, 1))]
+
+
+@pytest.mark.parametrize("form", sorted(NODE_FORMS))
+def test_component_spec_from_any_iterable_of_slots(form):
+    deps, total = frozenset({AbstractComponentId("D")}), Interval(1, INF)
+    one, other = (ComponentSpec(PARENT.aci, deps, NODE_FORMS[form](slots), total)
+                  for slots in (SLOTS, SLOTS[::-1]))
+    assert one == other == build(ComponentSpec).replace(
+        aci=PARENT.aci, dependencies=deps, children=SLOTS, total=total)
+    assert hash(one) == hash(other) == hash((PARENT.aci, deps, frozenset(SLOTS), total))
+    assert one.children == other.children == frozenset(SLOTS)
+    assert f"children={one.children!r}, total=" in repr(one) and repr(one) == repr(other)
+    for value in (one, other):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol)) == value
+        assert copy.copy(value) == copy.deepcopy(value) == value.replace(children=value.children) == value
+        assert value.replace(children=SLOTS[:1]).children == frozenset(SLOTS[:1])
+
+
+def test_component_spec_collapses_an_equal_slot_and_refuses_two_of_one_ctype():
+    first, twin = ChildSlot(ACI, Interval(1, 1)), ChildSlot(ACI.replace(), Interval(1, 1))
+    assert first == twin and first is not twin
+    collapsed = ComponentSpec(PARENT.aci, children=[first, twin], total=Interval(1, 1))
+    assert collapsed == PARENT and hash(collapsed) == hash(PARENT)
+    [kept] = collapsed.children
+    assert kept is first
+    with pytest.raises(ValueError, match="R: more than one child slot of ctype T"):
+        ComponentSpec(PARENT.aci, children=[first, first.replace(count=Interval(0, 1))])
+
+
 def test_a_subclass_has_its_parents_fields_first():
     class Tagged(ComponentId):
         __slots__ = ("tag",)
