@@ -419,6 +419,15 @@ def merge_identifiers(acis: Iterable[AbstractComponentId]) -> AbstractComponentI
     return items[0].merge(*items[1:])
 
 
+# The slot stores of the values `lift_identifiers` builds: member descriptors' `__set__`, bound once.
+(_names_literals, _names_prefixes, _names_is_any, _origins_values, _origins_is_any,
+ _versions_values, _versions_span, _family_ctype, _family_names, _family_origins,
+ _family_versions) = (member.__set__ for member in (
+    NameSet.literals, NameSet.prefixes, NameSet.is_any, OriginSet.values, OriginSet.is_any,
+    VersionSet.values, VersionSet.span, AbstractComponentId.ctype, AbstractComponentId.names,
+    AbstractComponentId.origins, AbstractComponentId.versions))
+
+
 def lift_identifiers(ids: Iterable[ComponentId]) -> AbstractComponentId:
     """The smallest family holding a non-empty iterable of same-ctype ids:
     `merge_identifiers` over their singleton families, built without a
@@ -432,15 +441,15 @@ def lift_identifiers(ids: Iterable[ComponentId]) -> AbstractComponentId:
         if ci.ctype != ctype:
             raise TypeMismatch(f"cannot merge {ctype} with {ci.ctype}")
     family, names, origins, versions = map(object.__new__, (AbstractComponentId, NameSet, OriginSet, VersionSet))
-    _set(names, "literals", frozenset([ci.name for ci in items]))
-    _set(names, "prefixes", frozenset())
-    _set(names, "is_any", False)
-    _set(origins, "values", frozenset([ci.origin for ci in items]))
-    _set(origins, "is_any", False)
-    _set(versions, "values", frozenset([ci.version for ci in items]))
-    _set(versions, "span", None)
-    _set(family, "ctype", ctype)
-    _set(family, "names", names)
-    _set(family, "origins", origins)
-    _set(family, "versions", versions)
+    _names_literals(names, frozenset([ci.name for ci in items]))
+    _names_prefixes(names, frozenset())
+    _names_is_any(names, False)
+    _origins_values(origins, frozenset([ci.origin for ci in items]))
+    _origins_is_any(origins, False)
+    _versions_values(versions, frozenset([ci.version for ci in items]))
+    _versions_span(versions, None)
+    _family_ctype(family, ctype)
+    _family_names(family, names)
+    _family_origins(family, origins)
+    _family_versions(family, versions)
     return family

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable
 
-from .algebra import AbstractComponentId, ComponentId, Interval, _set, lift_identifiers
+from .algebra import AbstractComponentId, ComponentId, Interval, lift_identifiers
 from .model import (
     ChildSlot,
     ComponentSpec,
@@ -82,11 +82,18 @@ def unify(a: SpecSet, b: SpecSet) -> SpecSet:
     return SpecSet(out)
 
 
+# The slot stores of the values `infer` builds, bound once as `lift_identifiers` binds its own.
+(_interval_lo, _interval_hi, _slot_aci, _slot_count, _node_aci, _node_dependencies,
+ _node_total, _node_slots) = (member.__set__ for member in (
+    Interval.lo, Interval.hi, ChildSlot.aci, ChildSlot.count, ComponentSpec.aci,
+    ComponentSpec.dependencies, ComponentSpec.total, ComponentSpec._slots))
+
+
 def _count(lo: int, hi: int) -> Interval:
     """[lo, hi] from naturals counted here, lo <= hi: set without `Interval`'s checks."""
     count = object.__new__(Interval)
-    _set(count, "lo", lo)
-    _set(count, "hi", hi)
+    _interval_lo(count, lo)
+    _interval_hi(count, hi)
     return count
 
 
@@ -116,7 +123,7 @@ def _group_spec(members: list[Component], families: dict[str, tuple[int, Abstrac
         for ctype, k in tally.items():
             counts.setdefault(ctype, []).append(k)
     if len(members) == 1:
-        deps = frozenset(d.to_abstract() for d in members[0].dependencies)
+        deps = frozenset([lift_identifiers([d]) for d in members[0].dependencies])
     else:
         deps_by_type: dict[str, list[ComponentId]] = {}
         for dep in frozenset().union(*map(_dependencies_of, members)):  # reuses kept hashes
@@ -129,15 +136,18 @@ def _group_spec(members: list[Component], families: dict[str, tuple[int, Abstrac
         for child in chain.from_iterable(filter(None, map(_children_of, members))):
             if child.ctype in gathered:
                 gathered[child.ctype].append(child)
-    slots = (
-        ChildSlot(
-            lift_identifiers(gathered[ctype]) if ctype in gathered else families[ctype][1],
-            _count(min(ks) if len(ks) == len(members) else 0, max(ks)),
-        )
-        for ctype, ks in counts.items()
-    )
-    return ComponentSpec(
-        aci=families[own][1], dependencies=deps, children=slots, total=_count(total, total))
+    slots: dict[str, ChildSlot] = {}  # keyed in ctype order, as `ComponentSpec` keeps them
+    for ctype in sorted(counts):
+        ks = counts[ctype]
+        slots[ctype] = slot = object.__new__(ChildSlot)
+        _slot_aci(slot, lift_identifiers(gathered[ctype]) if ctype in gathered else families[ctype][1])
+        _slot_count(slot, _count(min(ks) if len(ks) == len(members) else 0, max(ks)))
+    node = object.__new__(ComponentSpec)
+    _node_aci(node, families[own][1])
+    _node_dependencies(node, deps)
+    _node_total(node, _count(total, total))
+    _node_slots(node, slots)
+    return node
 
 
 def infer_component(component: Component, *, faithful_leaf_rule: bool = False) -> SpecSet:

@@ -467,10 +467,10 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
 
 
 def _valid(config: Configuration | Iterable[Component]) -> Configuration:
-    """The configuration as a `Configuration` that passed validation, so it keeps
-    its components by id and its root; raises NotAConfiguration otherwise."""
+    """The configuration as a `Configuration` that passed validation, so it keeps its components by
+    id and its root; one keeping a root passed already.  Raises NotAConfiguration otherwise."""
     config = config if isinstance(config, Configuration) else Configuration(config)
-    if not validate_configuration(config).ok:
+    if config._root is None and not validate_configuration(config).ok:
         raise NotAConfiguration(config._report)
     return config
 

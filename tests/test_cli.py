@@ -4,8 +4,9 @@ Every test drives ``main(argv)`` directly and asserts on the returned exit
 code and the captured stdout/stderr, so the full contract — exit codes,
 text lines, JSON payloads, file writes, and the journal — is pinned down.
 Two tests import the CLI in a fresh interpreter to check what start-up
-loads and compiles, and the last runs it as `python -m confkit.cli` and
-`python -m confkit`.
+loads and compiles; the last two run it as `python -m confkit.cli` and
+`python -m confkit`, and the very last checks that its output does not
+depend on the hash seed.
 """
 from __future__ import annotations
 
@@ -21,8 +22,9 @@ import pytest
 import confkit
 from confkit import cli
 from confkit.cli import main
+from confkit.inference import infer
 from confkit.lifecycle import parse_journal
-from confkit.textfmt import check_config_text, check_spec_text, parse_config, parse_spec
+from confkit.textfmt import check_config_text, check_spec_text, parse_config, parse_spec, print_spec
 
 from conftest import (
     FIXTURES,
@@ -799,3 +801,30 @@ def test_python_m_runs_the_cli(module):
     missing = cli("check", "psy1.cg", "nonexistent.csg")
     assert missing.returncode == 2
     assert missing.stderr.startswith("error:")
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """Output walks sets of ids, slots and nodes; under PYTHONHASHSEED 0, 1
+    and 2 each command prints the same bytes and exits with the same code."""
+    env = {**os.environ, "PYTHONPATH": str(Path(confkit.__file__).resolve().parent.parent)}
+    env.pop("CONFKIT_FORMAT", None)
+    inferred = tmp_path / "psy1-inferred.csg"
+    inferred.write_text(print_spec(infer(parse_config((FIXTURES / "psy1.cg").read_text()))))
+    commands = {
+        ("infer", "psy1.cg"): 0,
+        ("infer", "psy2.cg", "--format", "json"): 0,
+        ("check", "psy2.cg", str(inferred), "--explain"): 1,
+        ("compat", "psy2.cg", "psy1.cg", "--spec", "psycho.csg"): 1,
+        ("dot", "psycho.csg"): 0,
+        ("dot", "psy1.cg"): 0,
+    }
+    for argv, code in commands.items():
+        runs = {(proc.returncode, proc.stdout) for proc in (
+            subprocess.run([sys.executable, "-m", "confkit", *argv], cwd=FIXTURES,
+                           env={**env, "PYTHONHASHSEED": seed}, capture_output=True, timeout=60)
+            for seed in ("0", "1", "2"))}
+        assert len(runs) == 1, argv
+        (returncode, stdout), = runs
+        assert returncode == code, argv
+        if argv[0] == "check":  # every failure, in depth-first order
+            assert len(stdout.splitlines()) == 1 + 7

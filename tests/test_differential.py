@@ -13,7 +13,8 @@ and `ctype_order`, which neither sorts nor pushes a child with no children
 of a ctype already seen, against the DFS that sorts every child set.
 Last, every component either configuration reader builds column by column
 is rebuilt through the checking constructors and must be the same value,
-as must every family `lift_identifiers` builds by setting its slots.
+as must every family `lift_identifiers` builds by setting its slots; every
+node `infer` builds that way must keep its child slots in ctype order.
 Both compliance engines, each of which checks a ctype in one function that
 returns its first failing clause, are checked against `direct_check` as it
 was before, a loop that carried a flag out of each clause.
@@ -404,6 +405,17 @@ def slot_kinds(config: Configuration, inferred: SpecSet) -> dict[tuple[str, str]
     return kinds
 
 
+def assert_slots_in_ctype_order(specs: SpecSet) -> None:
+    """`infer` sets each node's slots itself: they must be stored in ctype
+    order, which equality and hashing cannot see, and a pickle, a copy and a
+    `replace` of the node, which go through the constructor, must agree."""
+    for node in specs:
+        order = list(node._slots)
+        assert order == sorted(node._slots), node
+        for twin in (pickle.loads(pickle.dumps(node)), copy.copy(node), node.replace(total=node.total)):
+            assert twin == node and list(twin._slots) == order
+
+
 @pytest.mark.parametrize("faithful_leaf_rule", [False, True])
 def test_grouped_infer_equals_the_unify_fold(faithful_leaf_rule):
     rng = random.Random(20101)
@@ -413,12 +425,14 @@ def test_grouped_infer_equals_the_unify_fold(faithful_leaf_rule):
         inferred = infer(config, faithful_leaf_rule=faithful_leaf_rule)
         reference = reference_infer(config, faithful_leaf_rule)
         assert inferred == reference and hash(inferred) == hash(reference)
+        assert_slots_in_ctype_order(inferred)
         for kind in slot_kinds(config, inferred).values():
             slots[kind] += 1
         for c in config:
             one, reference = (infer_component(c, faithful_leaf_rule=faithful_leaf_rule),
                               reference_infer_component(c, faithful_leaf_rule))
             assert one == reference and hash(one) == hash(reference)
+            assert_slots_in_ctype_order(one)
         kinds: dict[str, set] = {}
         for c in config:
             kinds.setdefault(c.id.ctype, set()).add(

@@ -46,7 +46,10 @@ ctype shares that family: `lift_identifiers` runs once per ctype plus once
 per dependency group, 5 times at n and at 4n (lifting every child slot and
 each member's dependencies on their own made it 8).  `compliant` orders
 its failures depth-first with `ctype_order`, and walks the tree for it only
-when two or more ctypes fail (it used to walk it on every call).
+when two or more ctypes fail (it used to walk it on every call).  A third
+counts calls to `validate_configuration` while five engines check one fresh
+configuration: the first validates it, and the others see the root that
+validation kept (each engine validated it again before, 7 calls in all).
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from confkit import (
     ComponentSpec,
     Configuration,
     Interval,
+    NotAConfiguration,
     SpecSet,
     compliant,
     config_leq,
@@ -73,10 +77,13 @@ from confkit import (
     parse_spec,
     print_config,
     print_spec,
+    root_of,
     validate_configuration,
     validate_spec,
 )
-from confkit import inference, textfmt, typecheck
+from confkit import inference, model, textfmt, typecheck
+
+from conftest import FIXTURES
 
 LEAVES_PER_BIN = 5
 SMALL_BINS, LARGE_BINS = 8, 33  # 2 + 6 * 8 = 50 and 2 + 6 * 33 = 200 components
@@ -318,6 +325,27 @@ def scale_shaped(seed: int, bins: int, leaf_ctypes: int = 8, p: float = 0.3) -> 
                       + "".join(f"  node {k} {{ total: 0..0; depends {{ Lib }} }}\n" for k in kinds)
                       + "  node Lib { total: 0..0; }\n  root Root;\n}\n")
     return Configuration(tuple(comps)), spec
+
+
+def test_a_validated_configuration_is_not_validated_again():
+    # Only a validation that passes keeps a root, and an engine given a
+    # configuration that keeps one works on it without validating it again
+    spec = parse_spec((FIXTURES / "psycho.csg").read_text())
+    components = parse_config((FIXTURES / "psy1.cg").read_text()).components
+    engines = (lambda c: compliant(c, spec), lambda c: direct_check(c, spec), infer,
+               typecheck.ctype_order, root_of)
+    config = Configuration(components)
+    assert calls_into(model, "validate_configuration",
+                      lambda: [engine(config) for engine in engines]) == 1
+    # one that fails keeps its report and no root, and every engine raises with that report
+    broken = Configuration(components[1:])
+    reports = []
+    for engine in engines:
+        with pytest.raises(NotAConfiguration) as failure:
+            engine(broken)
+        reports.append(failure.value.report)
+    assert broken._root is None and not broken._report.ok
+    assert all(report is broken._report for report in reports)
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
