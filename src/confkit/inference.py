@@ -75,7 +75,7 @@ def unify(a: SpecSet, b: SpecSet) -> SpecSet:
         else:
             out.append(ComponentSpec(
                 aci=ls.aci.merge(rs.aci),
-                dependencies=unify_dependencies(ls.dependencies, rs.dependencies),
+                dependencies=unify_dependencies(ls._deps.values(), rs._deps.values()),
                 children=unify_children(ls._slots.values(), rs._slots.values()),
                 total=ls.total + rs.total,
             ))
@@ -83,10 +83,10 @@ def unify(a: SpecSet, b: SpecSet) -> SpecSet:
 
 
 # The slot stores of the values `infer` builds, bound once as `lift_identifiers` binds its own.
-(_interval_lo, _interval_hi, _slot_aci, _slot_count, _node_aci, _node_dependencies,
- _node_total, _node_slots) = (member.__set__ for member in (
+(_interval_lo, _interval_hi, _slot_aci, _slot_count, _node_aci, _node_total, _node_deps,
+ _node_slots) = (member.__set__ for member in (
     Interval.lo, Interval.hi, ChildSlot.aci, ChildSlot.count, ComponentSpec.aci,
-    ComponentSpec.dependencies, ComponentSpec.total, ComponentSpec._slots))
+    ComponentSpec.total, ComponentSpec._deps, ComponentSpec._slots))
 
 
 def _count(lo: int, hi: int) -> Interval:
@@ -100,14 +100,13 @@ def _count(lo: int, hi: int) -> Interval:
 def _group_spec(members: list[Component], families: dict[str, tuple[int, AbstractComponentId]],
                 faithful_leaf_rule: bool) -> ComponentSpec:
     """The node the `unify` fold builds for one ctype's components, in one
-    pass: dependencies merge once per ctype, a child slot counts [min, max]
+    pass: dependencies merge per ctype, a child slot counts [min, max]
     over the members (0 for a member without such children), totals add.
     `families` maps a ctype to (number of ids, their family).  A slot of
     another ctype whose counts add up to that number holds exactly those
     ids, as each has one parent, so it shares the family; other slots, and
     one of the members' own ctype (its topmost member has no parent among
-    them), lift the ids they gather.  A lone member keeps one dependency
-    entry per id, as the fold passes it through."""
+    them), lift the ids they gather."""
     own = members[0].id.ctype
     counts: dict[str, list[int]] = {}
     total = 0
@@ -122,13 +121,9 @@ def _group_spec(members: list[Component], families: dict[str, tuple[int, Abstrac
             tally[child.ctype] = tally.get(child.ctype, 0) + 1
         for ctype, k in tally.items():
             counts.setdefault(ctype, []).append(k)
-    if len(members) == 1:
-        deps = frozenset([lift_identifiers([d]) for d in members[0].dependencies])
-    else:
-        deps_by_type: dict[str, list[ComponentId]] = {}
-        for dep in frozenset().union(*map(_dependencies_of, members)):  # reuses kept hashes
-            deps_by_type.setdefault(dep.ctype, []).append(dep)
-        deps = frozenset(map(lift_identifiers, deps_by_type.values()))
+    deps_by_type: dict[str, list[ComponentId]] = {}
+    for dep in frozenset().union(*map(_dependencies_of, members)):  # reuses kept hashes
+        deps_by_type.setdefault(dep.ctype, []).append(dep)
     gathered: dict[str, list[ComponentId]] = {
         ctype: [] for ctype, ks in counts.items()
         if ctype == own or families.get(ctype, (0,))[0] != sum(ks)}
@@ -136,7 +131,7 @@ def _group_spec(members: list[Component], families: dict[str, tuple[int, Abstrac
         for child in chain.from_iterable(filter(None, map(_children_of, members))):
             if child.ctype in gathered:
                 gathered[child.ctype].append(child)
-    slots: dict[str, ChildSlot] = {}  # keyed in ctype order, as `ComponentSpec` keeps them
+    slots: dict[str, ChildSlot] = {}  # keyed in ctype order, as `ComponentSpec` keeps slots and entries
     for ctype in sorted(counts):
         ks = counts[ctype]
         slots[ctype] = slot = object.__new__(ChildSlot)
@@ -144,8 +139,8 @@ def _group_spec(members: list[Component], families: dict[str, tuple[int, Abstrac
         _slot_count(slot, _count(min(ks) if len(ks) == len(members) else 0, max(ks)))
     node = object.__new__(ComponentSpec)
     _node_aci(node, families[own][1])
-    _node_dependencies(node, deps)
     _node_total(node, _count(total, total))
+    _node_deps(node, {ctype: lift_identifiers(ids) for ctype, ids in sorted(deps_by_type.items())})
     _node_slots(node, slots)
     return node
 

@@ -105,11 +105,22 @@ _EMPTY: frozenset = frozenset()
 
 _sort_key = ComponentId.sort_key.fget
 _id_of, _children_of, _dependencies_of = attrgetter("id"), attrgetter("children"), attrgetter("dependencies")
-_slot_ctype = attrgetter("aci.ctype")
+_entry_ctype, _slot_ctype = attrgetter("ctype"), attrgetter("aci.ctype")
 
 
 def _frozen(items: Iterable) -> frozenset:
     return frozenset(items) or _EMPTY
+
+
+def _by_ctype(owner: str, kind: str, entries: Iterable, ctype_of) -> dict:
+    """A spec node's entries keyed by ctype, in ctype order.  An equal entry
+    collapses, as in a set; two different ones of one ctype raise."""
+    kept: dict = {}
+    for entry in sorted(entries, key=ctype_of):
+        first = kept.setdefault(ctype_of(entry), entry)
+        if first is not entry and first != entry:
+            raise ValueError(f"{owner}: more than one {kind} of ctype {ctype_of(entry)}")
+    return kept
 
 
 class Component(_Value):
@@ -209,24 +220,21 @@ class ChildSlot(_Value):
 class ComponentSpec(_Value):
     """Spec node for one ctype: identity constraints, dependencies, children, total."""
 
-    # _slots: the child slots by ctype in ctype order, the value's one store, which children derives from
-    __slots__ = ("aci", "dependencies", "total", "_slots")
+    # _deps and _slots: the dependency entries and the child slots by ctype in ctype order,
+    # the value's one stores, which dependencies and children derive from
+    __slots__ = ("aci", "total", "_deps", "_slots")
     _fields = ("aci", "dependencies", "children", "total")
 
     def __init__(self, aci: AbstractComponentId,
                  dependencies: Iterable[AbstractComponentId] = frozenset(),
                  children: Iterable[ChildSlot] = frozenset(),
                  total: Interval = Interval(0, 0)) -> None:
-        slots: dict[str, ChildSlot] = {}
-        for slot in sorted(children, key=_slot_ctype):
-            kept = slots.setdefault(slot.aci.ctype, slot)
-            if kept is not slot and kept != slot:  # an equal slot collapses, as in a set
-                raise ValueError(f"{aci.ctype}: more than one child slot of ctype {slot.aci.ctype}")
         _set(self, "aci", aci)
-        _set(self, "dependencies", frozenset(dependencies))
         _set(self, "total", total)
-        _set(self, "_slots", slots)
+        _set(self, "_deps", _by_ctype(aci.ctype, "dependency entry", dependencies, _entry_ctype))
+        _set(self, "_slots", _by_ctype(aci.ctype, "child slot", children, _slot_ctype))
 
+    dependencies = property(lambda self: frozenset(self._deps.values()))
     children = property(lambda self: frozenset(self._slots.values()))
 
     @property
@@ -404,13 +412,7 @@ def validate_spec(spec: SpecSet | Iterable[ComponentSpec]) -> ValidationReport:
                     "children-closure", (cs.ctype, slot.aci.ctype),
                     f"{cs.ctype} has a child slot for {slot.aci.ctype} "
                     "that matches no spec node"))
-        dep_types: set[str] = set()
-        for dep in sorted(cs.dependencies, key=lambda d: d.ctype):
-            if dep.ctype in dep_types:
-                violations.append(Violation(
-                    "duplicate-dependency-type", (cs.ctype, dep.ctype),
-                    f"{cs.ctype} has more than one dependency entry of ctype {dep.ctype}"))
-            dep_types.add(dep.ctype)
+        for dep in cs._deps.values():
             if not any(dep <= aci for aci in families.get(dep.ctype, ())):
                 violations.append(Violation(
                     "dependency-coverage", (cs.ctype, dep.ctype),

@@ -454,7 +454,7 @@ def _build_spec_nodes(raw: list[_RawNode]) -> list[ComponentSpec]:
         if total is None:
             total = sum_intervals(node.contains.values())
         built.append(ComponentSpec(
-            aci=aci, dependencies=frozenset(deps), children=slots, total=total))
+            aci=aci, dependencies=deps, children=slots, total=total))
     return built
 
 
@@ -808,14 +808,12 @@ def print_spec(spec: SpecSet, *, name: str | None = None,
         if node._slots:
             inner = ", ".join(f"{_ctype(t)}: {s.count}" for t, s in node._slots.items())
             lines.append(f"    contains {{ {inner} }}")
-        if node.dependencies:
+        if node._deps:
             rendered = []
-            for dep in node.dependencies:
-                target = spec.spec_for(dep.ctype)
-                base = target.aci if target else AbstractComponentId(dep.ctype)
-                rendered.append((dep.ctype, _fmt_dep(dep, base)))
-            inner = ", ".join(text for _, text in sorted(rendered))
-            lines.append(f"    depends {{ {inner} }}")
+            for t, dep in node._deps.items():
+                target = spec.spec_for(t)
+                rendered.append(_fmt_dep(dep, target.aci if target else AbstractComponentId(t)))
+            lines.append(f"    depends {{ {', '.join(rendered)} }}")
         lines.append("  }")
     lines.append(f"  root {_ctype(root)};")
     lines.append("}")
@@ -902,8 +900,8 @@ def _spec_to_dot(spec: SpecSet) -> str:
             target = ids.get(slot.aci.ctype) or _dot_id(_sanitize(slot.aci.ctype))
             lines.append(f'  {ids[node.ctype]} -> {target} [label="{slot.count}"];')
     for node in nodes:
-        for dep in sorted(node.dependencies, key=lambda d: d.ctype):
-            target = ids.get(dep.ctype) or _dot_id(_sanitize(dep.ctype))
+        for t in node._deps:
+            target = ids.get(t) or _dot_id(_sanitize(t))
             lines.append(f"  {ids[node.ctype]} -> {target} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .algebra import ComponentId, Interval, _set, _Value, merge_identifiers
+from .algebra import ComponentId, Interval, _set, _Value
 from .model import (
     Component,
     ComponentSpec,
@@ -116,12 +116,11 @@ def _first_failure(
     if not inferred.aci <= node.aci:
         return ComplianceFailure(t, "identifier", f"{t} identifiers do not all match the spec node")
 
-    unmatched = [dep.ctype for dep in inferred.dependencies
-                 if not any(dep <= entry for entry in node.dependencies)]
-    if unmatched:
-        return ComplianceFailure(
-            t, "dependencies",
-            f"{t} dependencies on {min(unmatched)} match no dependency entry")
+    for dep_type, dep in inferred._deps.items():
+        entry = node._deps.get(dep_type)
+        if entry is None or not dep <= entry:
+            return ComplianceFailure(
+                t, "dependencies", f"{t} dependencies on {dep_type} match no dependency entry")
 
     for slot in inferred._slots.values():
         match = node.slot_for(slot.aci.ctype)
@@ -195,8 +194,8 @@ def _direct_failure(
     strict_lower_bounds: bool,
 ) -> ComplianceFailure | None:
     """First failing clause for one ctype, in `_first_failure`'s order,
-    computed from its members: fold the identifiers, group the dependencies,
-    count the children."""
+    computed from its members: test each id's membership, group the
+    dependencies, count the children."""
     if node is None:
         return ComplianceFailure(ctype, "missing-spec-node", f"no spec node of ctype {ctype}")
     if not all(c.id in node.aci for c in members):
@@ -208,8 +207,8 @@ def _direct_failure(
         for dep in c.dependencies:
             dep_groups.setdefault(dep.ctype, []).append(dep)
     for dep_type in sorted(dep_groups):
-        fold = merge_identifiers(d.to_abstract() for d in dep_groups[dep_type])
-        if not any(fold <= entry for entry in node.dependencies):
+        entry = node._deps.get(dep_type)
+        if entry is None or not all(d in entry for d in dep_groups[dep_type]):
             return ComplianceFailure(
                 ctype, "dependencies",
                 f"{ctype} dependencies on {dep_type} match no dependency entry")

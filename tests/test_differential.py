@@ -104,7 +104,11 @@ ORIGINS = ("o1", "o2")
 
 def reference_infer_component(component: Component, faithful_leaf_rule: bool) -> SpecSet:
     aci = component.id.to_abstract()
-    deps = frozenset(d.to_abstract() for d in component.dependencies)
+    dep_groups: dict[str, list] = {}
+    for dep in component.dependencies:
+        dep_groups.setdefault(dep.ctype, []).append(dep)
+    deps = frozenset(reference_merge(ci.to_abstract() for ci in members)
+                     for members in dep_groups.values())
     if component.is_leaf:
         total = Interval(1, 1) if faithful_leaf_rule else Interval(0, 0)
         return SpecSet(frozenset({ComponentSpec(aci=aci, dependencies=deps, total=total)}))
@@ -480,9 +484,9 @@ def test_grouped_infer_on_slots_that_cannot_share_a_family():
     assert node.slot_for("R").aci == r2.to_abstract() != node.aci
 
 
-def test_lone_member_dependencies_stay_one_entry_per_id():
-    # The fold passes a ctype with one member through untouched, so its
-    # dependencies on one ctype stay separate entries; two members merge them.
+def test_lone_member_dependencies_merge_into_one_entry_per_ctype():
+    # A node keys its dependency entries by ctype: a lone member's
+    # dependencies on one ctype merge into one entry, as two members' do.
     lib_a, lib_b = ComponentId("Lib", "a", "o", 1), ComponentId("Lib", "b", "o", 2)
     app1, app2 = ComponentId("App", "x", "o", 1), ComponentId("App", "y", "o", 1)
     root = ComponentId("R", "r", "o", 1)
@@ -493,7 +497,7 @@ def test_lone_member_dependencies_stay_one_entry_per_id():
                          Component.leaf(app1, dependencies=[lib_a]),
                          Component.leaf(app2, dependencies=[lib_b])) + libs)
     assert infer(one).spec_for("App").dependencies == frozenset(
-        {lib_a.to_abstract(), lib_b.to_abstract()})
+        {lift_identifiers([lib_a, lib_b])})
     assert infer(two).spec_for("App").dependencies == frozenset(
         {lift_identifiers([lib_a, lib_b])})
     for config in (one, two):

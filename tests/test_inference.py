@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confkit import (
@@ -21,14 +21,17 @@ from confkit import (
     VersionSet,
     infer,
     infer_component,
+    print_spec,
+    root_of,
     unify,
     unify_children,
     unify_dependencies,
     validate_spec,
 )
+from confkit.textfmt import check_spec_text
 
 from conftest import build_inferred_psy1, build_inferred_psy2
-from strategies import configurations, spec_sets
+from strategies import configurations, layered_configurations, spec_sets
 
 
 def spec_a(slots: dict[str, Interval], total: Interval) -> ComponentSpec:
@@ -215,6 +218,18 @@ class TestInferenceProperties:
     def test_every_ctype_gets_exactly_one_entry(self, cfg):
         inferred = infer(cfg)
         assert inferred.ctypes == frozenset(c.id.ctype for c in cfg)
+
+    @settings(max_examples=300)
+    @given(st.one_of(configurations(), layered_configurations()))
+    def test_printed_inference_reads_back(self, cfg):
+        # One dependency entry per ctype, so the printed spec is text the
+        # reader accepts; validation may still refuse it.
+        inferred = infer(cfg)
+        for node in inferred:
+            deps = [d for c in cfg if c.id.ctype == node.ctype for d in c.dependencies]
+            assert sorted(d.ctype for d in node.dependencies) == sorted({d.ctype for d in deps})
+            assert all(any(d in entry for entry in node.dependencies) for d in deps)
+        check_spec_text(print_spec(inferred, root=root_of(cfg).id.ctype))
 
     @given(configurations())
     def test_every_component_matches_its_entry(self, cfg):

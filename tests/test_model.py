@@ -319,14 +319,11 @@ class TestSpecConditions:
         assert report.violations[0].subjects == ("Psycho",)
 
     def test_duplicate_dependency_type(self, cs_psycho):
+        # a node keys its dependency entries by ctype, so it cannot hold two of one
         narrowed = AbstractComponentId("CGLib", NameSet.of("julib.so"))
         node = cs_psycho.spec_for("PScr")
-        mutated = replace_node(
-            cs_psycho, "PScr",
-            dependencies=frozenset(node.dependencies) | {narrowed})
-        report = validate_spec(mutated)
-        assert conditions(report) == ["duplicate-dependency-type"]
-        assert report.violations[0].subjects == ("PScr", "CGLib")
+        with pytest.raises(ValueError, match="PScr: more than one dependency entry of ctype CGLib"):
+            replace_node(cs_psycho, "PScr", dependencies=frozenset(node.dependencies) | {narrowed})
 
     def test_dependency_child_overlap(self, cs_psycho):
         mutated = replace_node(

@@ -350,17 +350,20 @@ def test_a_validated_configuration_is_not_validated_again():
 
 @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
 def test_compliant_hashes_no_child_slot(monkeypatch, strict):
-    # A spec node keeps its child slots once, by ctype: building the inferred
-    # nodes and refining them reads that store and hashes no slot.
+    # A spec node keeps its dependency entries and child slots once, by
+    # ctype: building the inferred nodes and refining them reads those stores
+    # and hashes no slot and no family, such as the one the leaves share for Lib.
     config, spec = scale_shaped(seed=7, bins=50)
     expected = direct_check(config, spec, strict_lower_bounds=strict)
     assert expected.compliant and len(config) > 400
 
-    def refuse(slot):
-        raise AssertionError(f"hashed {slot!r}")
+    def refuse(value):
+        raise AssertionError(f"hashed {value!r}")
 
     monkeypatch.setattr(ChildSlot, "__hash__", refuse)
+    monkeypatch.setattr(AbstractComponentId, "__hash__", refuse)
     assert compliant(config, spec, strict_lower_bounds=strict) == expected
+    assert direct_check(config, spec, strict_lower_bounds=strict) == expected
 
 
 def test_infer_lifts_each_family_once():

@@ -126,18 +126,6 @@ class TestSpecSubtyping:
         assert component_spec_leq(a, wide)
         assert component_spec_leq(b, wide)  # no dependencies to cover
 
-    def test_dependency_entries_are_covered_one_by_one(self):
-        # merging {1, 5} with 2..3 would give the span 1..5, which
-        # {1, 2, 3, 5} does not include
-        two = ComponentSpec(AbstractComponentId("T"), dependencies=frozenset({
-            AbstractComponentId("X", versions=VersionSet.of(1, 5)),
-            AbstractComponentId("X", versions=VersionSet.between(2, 3)),
-        }))
-        one = ComponentSpec(AbstractComponentId("T"), dependencies=frozenset({
-            AbstractComponentId("X", versions=VersionSet.of(1, 2, 3, 5)),
-        }))
-        assert component_spec_leq(two, one)
-
     def test_child_slots_must_match(self):
         slot = ChildSlot(AbstractComponentId("U"), Interval(1, 2))
         a = ComponentSpec(AbstractComponentId("T"), children=frozenset({slot}), total=Interval(1, 2))

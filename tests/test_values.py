@@ -401,6 +401,39 @@ def test_component_spec_from_any_iterable_of_slots(form):
         assert value.replace(children=SLOTS[:1]).children == frozenset(SLOTS[:1])
 
 
+DEPS = [AbstractComponentId("U", NameSet.of("u")), AbstractComponentId("D")]
+
+
+@pytest.mark.parametrize("form", sorted(NODE_FORMS))
+def test_component_spec_from_any_iterable_of_dependency_entries(form):
+    slots, total = frozenset(SLOTS), Interval(1, INF)
+    one, other = (ComponentSpec(PARENT.aci, NODE_FORMS[form](deps), slots, total)
+                  for deps in (DEPS, DEPS[::-1]))
+    assert one == other == build(ComponentSpec).replace(
+        aci=PARENT.aci, dependencies=DEPS, children=slots, total=total)
+    assert hash(one) == hash(other) == hash((PARENT.aci, frozenset(DEPS), slots, total))
+    assert one.dependencies == other.dependencies == frozenset(DEPS)
+    assert list(one._deps) == list(other._deps) == ["D", "U"]  # in ctype order
+    assert f"dependencies={one.dependencies!r}, children=" in repr(one) and repr(one) == repr(other)
+    for value in (one, other):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol)) == value
+        assert copy.copy(value) == copy.deepcopy(value) == value.replace(
+            dependencies=value.dependencies) == value
+        assert value.replace(dependencies=DEPS[:1]).dependencies == frozenset(DEPS[:1])
+
+
+def test_component_spec_collapses_an_equal_dependency_entry_and_refuses_two_of_one_ctype():
+    first, twin = AbstractComponentId("D"), AbstractComponentId("D").replace()
+    assert first == twin and first is not twin
+    collapsed = ComponentSpec(PARENT.aci, [first, twin])
+    assert collapsed == ComponentSpec(PARENT.aci, [first]) and len(collapsed.dependencies) == 1
+    [kept] = collapsed.dependencies
+    assert kept is first
+    with pytest.raises(ValueError, match="R: more than one dependency entry of ctype D"):
+        ComponentSpec(PARENT.aci, [first, first.replace(names=NameSet.of("d"))])
+
+
 def test_component_spec_collapses_an_equal_slot_and_refuses_two_of_one_ctype():
     first, twin = ChildSlot(ACI, Interval(1, 1)), ChildSlot(ACI.replace(), Interval(1, 1))
     assert first == twin and first is not twin
